@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-race vet fmt-check bench bench-json bench-wire fuzz obs-check ci
+.PHONY: all build test test-race vet fmt-check bench bench-json bench-wire bench-smoke fuzz obs-check ci
 
 all: build test vet
 
@@ -48,7 +48,7 @@ bench:
 # snapshots/sec (wall-clock and combined rangejoin+cluster stage time) at
 # 10%/50%/100% churn, plus a front_end section measuring allocate-stage
 # scaling at parallelism 1/2/4 on a ~10k-object record stream with hard
-# pattern-equality checks against the snapshot-path oracle.
+# pattern-equality checks against the sequential reference.
 bench-json:
 	$(GO) run ./cmd/bench -exp pipeline -objects 300 -ticks 200 -json BENCH_pipeline.json
 
@@ -83,4 +83,11 @@ fuzz:
 obs-check:
 	$(GO) run ./cmd/obscheck
 
-ci: build vet fmt-check test obs-check
+# bench-smoke vets and tests the benchmark module (its own go.mod, so the
+# root `go test ./...` never reaches it). Compiling benchmark/surface.go
+# against the tree is what catches a change to a symbol the benchmark is
+# frozen on; its tests also run a small pass of every workload.
+bench-smoke:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+ci: build vet fmt-check test obs-check bench-smoke

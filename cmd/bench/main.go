@@ -6,8 +6,7 @@
 //	      [-objects N] [-ticks N] [-seed S] [-json FILE]
 //
 // Output is printed as aligned series (one per competitor) with latency,
-// throughput and average cluster size, mirroring the paper's plots. See
-// EXPERIMENTS.md for the paper-vs-measured comparison.
+// throughput and average cluster size, mirroring the paper's plots.
 //
 // The pipeline experiment measures per-stage throughput and keyed-exchange
 // records/sec on the in-process vs the multi-process TCP transport; with

@@ -3,7 +3,6 @@ package main
 import (
 	"bufio"
 	"fmt"
-	"os"
 	"os/exec"
 	"path/filepath"
 	"strconv"
@@ -14,6 +13,10 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/datagen"
+	"repro/internal/enum"
+	"repro/internal/geo"
+	"repro/internal/model"
+	"repro/internal/ref"
 )
 
 // buildDatagen compiles the datagen binary once per test.
@@ -29,8 +32,8 @@ func buildDatagen(t *testing.T) string {
 
 // Two real publisher OS processes stream disjoint fleets over TCP into one
 // icpe process running a partitioned source (-source-partitions 2); the
-// sorted pattern output must be byte-identical to a classic single-driver
-// run over the merged stream. The publishers are completely unsynchronized
+// sorted pattern output must be byte-identical to the sequential reference
+// over the merged stream. The publishers are completely unsynchronized
 // (no pacing) — a slack larger than the stream keeps every record inside
 // the coverage window, so assembly content is skew-invariant and the
 // comparison is deterministic.
@@ -49,13 +52,15 @@ func TestTwoPublisherProcessesPartitionedSource(t *testing.T) {
 		"-eps", strconv.FormatFloat(datagen.DefaultPlanted(1).Eps, 'g', -1, 64),
 		"-minpts", "4", "-parallelism", "3"}
 
-	// Oracle: the merged stream (fleet A + fleet B with -id-offset) fed
-	// tick-ordered through the classic snapshot path. The datasets mirror
-	// exactly what the datagen CLI publishes for the same flags.
+	// Oracle: the sequential reference over the merged stream (fleet A +
+	// fleet B with -id-offset), with the detection flags above. The
+	// datasets mirror exactly what the datagen CLI publishes for the same
+	// flags.
 	fleetA := bench.MakeDataset("planted", 1, bench.Scale{Objects: objects, Ticks: ticks})
 	fleetB := bench.MakeDataset("planted", 2, bench.Scale{Objects: objects, Ticks: ticks})
-	var csv strings.Builder
-	for i := 0; i < ticks; i++ {
+	merged := make([]*model.Snapshot, ticks)
+	for i := range merged {
+		merged[i] = &model.Snapshot{Tick: fleetA.Snapshots[i].Tick}
 		for _, d := range []*bench.Dataset{&fleetA, &fleetB} {
 			off := 0
 			if d == &fleetB {
@@ -63,22 +68,17 @@ func TestTwoPublisherProcessesPartitionedSource(t *testing.T) {
 			}
 			s := d.Snapshots[i]
 			for j, obj := range s.Objects {
-				fmt.Fprintf(&csv, "%d,%d,%s,%s\n", int(obj)+off, s.Tick,
-					strconv.FormatFloat(s.Locs[j].X, 'g', -1, 64),
-					strconv.FormatFloat(s.Locs[j].Y, 'g', -1, 64))
+				merged[i].Add(obj+model.ObjectID(off), s.Locs[j])
 			}
 		}
 	}
-	csvPath := filepath.Join(t.TempDir(), "merged.csv")
-	if err := os.WriteFile(csvPath, []byte(csv.String()), 0o644); err != nil {
-		t.Fatal(err)
+	eps := datagen.DefaultPlanted(1).Eps
+	var oracleOut strings.Builder
+	for _, p := range ref.Patterns(merged, model.Constraints{M: 18, K: 6, L: 3, G: 3},
+		eps, 4*eps, geo.L1, 4, enum.NewFBA) {
+		fmt.Fprintf(&oracleOut, "pattern %s\n", p)
 	}
-	oracle := exec.Command(icpeBin, append(detArgs, "-input", csvPath)...)
-	oracleOut, err := oracle.Output()
-	if err != nil {
-		t.Fatalf("oracle run: %v", err)
-	}
-	want := patternLines(string(oracleOut))
+	want := patternLines(oracleOut.String())
 	if len(want) == 0 {
 		t.Fatal("oracle found no patterns; weak test")
 	}

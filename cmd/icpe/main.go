@@ -8,13 +8,13 @@
 //	icpe -input trace.csv -method vba -eps 2
 //	icpe -listen 127.0.0.1:7077 -duration 60s   # TCP ingestion (TRJ1 frames)
 //
-// With -source-partitions N, ingestion runs as N parallel source
-// partitions inside the dataflow (each owning a disjoint shard of object
-// ids, with per-partition coverage watermarks) feeding the allocate
-// subtasks that own the same key groups directly — no global snapshot is
-// materialized anywhere. Any number of publishers can feed one job in
-// -listen mode; checkpoints then record per-partition replay offsets, so
-// a resume replays each shard from its own cut:
+// Ingestion runs as -source-partitions parallel source partitions inside
+// the dataflow (each owning a disjoint shard of object ids, with
+// per-partition coverage watermarks) feeding the allocate subtasks that
+// own the same key groups directly — no global snapshot is materialized
+// anywhere. Any number of publishers can feed one job in -listen mode;
+// checkpoints record per-partition replay offsets, so a resume replays
+// each shard from its own cut:
 //
 //	icpe -listen 127.0.0.1:7077 -source-partitions 4 -checkpoint-dir /tmp/ckpt
 //
@@ -29,7 +29,7 @@
 // single-process run.
 //
 // With -checkpoint-dir the run takes aligned-barrier checkpoints of all
-// operator state every -checkpoint-interval snapshots, and pattern output
+// operator state every -checkpoint-interval ticks, and pattern output
 // switches to exactly-once commits (printed once the covering checkpoint
 // is durable). After a crash — or a SIGINT/SIGTERM graceful drain, which
 // stops the source and takes a final checkpoint — the same command with
@@ -81,7 +81,7 @@ func main() {
 	input := flag.String("input", "-", "input CSV file ('-' = stdin)")
 	listen := flag.String("listen", "", "TCP listen address for network ingestion (overrides -input)")
 	duration := flag.Duration("duration", 30*time.Second, "how long to serve in -listen mode")
-	slack := flag.Int("slack", 2, "out-of-order slack in ticks (-listen mode)")
+	slack := flag.Int("slack", 2, "out-of-order slack in ticks: delays each source partition's coverage watermark; fixed for the lifetime of a checkpointed job")
 	m := flag.Int("M", 5, "significance: minimum group size")
 	k := flag.Int("K", 12, "duration: minimum total co-movement ticks")
 	l := flag.Int("L", 3, "consecutiveness: minimum run length")
@@ -92,8 +92,8 @@ func main() {
 	method := flag.String("method", "fba", "enumeration method: ba | fba | vba")
 	cluster := flag.String("cluster", "rjc", "range join engine: rjc | srj | gdc")
 	parallelism := flag.Int("parallelism", 4, "subtasks per pipeline stage (may differ from the checkpointed run's on -resume)")
-	sourceParts := flag.Int("source-partitions", 0, "run ingestion as this many source partitions inside the dataflow (0 = classic driver-side assembly); fixed for the lifetime of a checkpointed job")
-	incremental := flag.Bool("incremental", false, "maintain cell indexes and clusters incrementally across ticks (identical results, work proportional to churn; needs -cluster rjc, composes with -source-partitions); fixed for the lifetime of a checkpointed job")
+	sourceParts := flag.Int("source-partitions", 1, "source partitions ingestion runs as inside the dataflow, each owning a shard of object ids; fixed for the lifetime of a checkpointed job")
+	incremental := flag.Bool("incremental", false, "maintain cell indexes and clusters incrementally across ticks (identical results, work proportional to churn; needs -cluster rjc); fixed for the lifetime of a checkpointed job")
 	maxParallelism := flag.Int("max-parallelism", 0, "key-group count bounding -parallelism (default 128); fixed for the lifetime of a checkpointed job")
 	quiet := flag.Bool("quiet", false, "suppress per-pattern output")
 	transport := flag.String("transport", "inproc", "exchange fabric: inproc | tcp (tcp needs -coordinator/-workers)")
@@ -101,7 +101,7 @@ func main() {
 	workers := flag.Int("workers", 2, "worker process count the coordinator waits for")
 	workerJoin := flag.String("worker", "", "run as a worker: join the coordinator at this address and serve assigned stages")
 	ckptDir := flag.String("checkpoint-dir", "", "enable aligned-barrier checkpointing into this directory")
-	ckptInterval := flag.Int("checkpoint-interval", 32, "snapshots (with -source-partitions: ticks) between checkpoints (with -checkpoint-dir)")
+	ckptInterval := flag.Int("checkpoint-interval", 32, "ticks between checkpoints (with -checkpoint-dir)")
 	resume := flag.Bool("resume", false, "restore from the latest checkpoint in -checkpoint-dir and replay the source from the cut")
 	ckptAsync := flag.Bool("checkpoint-async", false, "encode and upload snapshots on a background goroutine instead of the barrier path")
 	ckptDelta := flag.Bool("checkpoint-delta", false, "incremental checkpoints: persist only key groups dirtied since the previous cut")
@@ -190,12 +190,8 @@ func main() {
 		Parallelism:      *parallelism,
 		MaxParallelism:   *maxParallelism,
 		SourcePartitions: *sourceParts,
+		SourceSlack:      model.Tick(*slack),
 		Incremental:      *incremental,
-	}
-	if *sourceParts > 0 {
-		// In partitioned mode the out-of-order slack lives in the source
-		// partitions (the host-side assembler is gone).
-		cfg.SourceSlack = model.Tick(*slack)
 	}
 	// Wire tuning only matters on the TCP data plane; a nil cfg.Wire means
 	// tcpnet.DefaultWire. The handshake clamps the codec version to what
@@ -307,44 +303,26 @@ func main() {
 	stopCh := make(chan os.Signal, 1)
 	signal.Notify(stopCh, os.Interrupt, syscall.SIGTERM)
 
-	skipThrough := model.Tick(-1 << 62)
 	var partSkip []int64 // per-source-partition record counts to skip on resume
 	if pos, ok := pipe.ResumePosition(); ok {
-		skipThrough = pos.LastTick
-		if len(pos.Partitions) > 0 {
-			partSkip = make([]int64, len(pos.Partitions))
-			for i, pp := range pos.Partitions {
-				partSkip[i] = pp.Records
-			}
-			fmt.Fprintf(os.Stderr, "resuming from checkpoint: %d records checkpointed, per-partition offsets %v\n",
-				pos.Snapshots, partSkip)
-		} else {
-			fmt.Fprintf(os.Stderr, "resuming from checkpoint: %d snapshots checkpointed, replaying ticks > %d\n",
-				pos.Snapshots, pos.LastTick)
+		partSkip = make([]int64, len(pos.Partitions))
+		for i, pp := range pos.Partitions {
+			partSkip[i] = pp.Records
 		}
+		fmt.Fprintf(os.Stderr, "resuming from checkpoint: %d records checkpointed, per-partition offsets %v\n",
+			pos.Snapshots, partSkip)
 	}
 
-	switch {
-	case *listen != "" && *sourceParts > 0:
-		// Partitioned ingestion: records go straight into the dataflow's
-		// source partitions; after a resume, publishers replay their streams
-		// and the restored partition state drops the checkpointed prefix.
+	if *listen != "" {
+		// Records go straight into the dataflow's source partitions; after
+		// a resume, publishers replay their streams and the restored
+		// partition state drops the checkpointed prefix.
 		lag := model.Tick(*slack) + stream.DefaultSilenceTimeout
 		if err := serveRecords(*listen, *duration, lag, pipe, stopCh); err != nil {
 			log.Fatal(err)
 		}
-	case *listen != "":
-		if err := serve(*listen, *duration, model.Tick(*slack), pipe, skipThrough, stopCh); err != nil {
-			log.Fatal(err)
-		}
-	case *sourceParts > 0:
-		if err := feedRecords(r, pipe, partSkip, stopCh); err != nil {
-			log.Fatal(err)
-		}
-	default:
-		if err := feed(r, pipe, skipThrough, stopCh); err != nil {
-			log.Fatal(err)
-		}
+	} else if err := feedRecords(r, pipe, partSkip, stopCh); err != nil {
+		log.Fatal(err)
 	}
 	signal.Stop(stopCh)
 	res := pipe.Finish()
@@ -368,37 +346,7 @@ func main() {
 	}
 }
 
-// serve ingests records over TCP for the given duration (or until a
-// termination signal), assembling snapshots with the last-time protocol
-// before feeding the pipeline. On resume, ticks at or below skipThrough
-// are dropped: they are part of the restored checkpoint, so a publisher
-// replaying the stream does not double-process them.
-func serve(addr string, d time.Duration, slack model.Tick, pipe *core.Pipeline,
-	skipThrough model.Tick, stop <-chan os.Signal) error {
-	asm := stream.NewAssembler()
-	asm.Slack = slack
-	if skipThrough > -1<<62 {
-		asm.ResumeAt(skipThrough + 1)
-	}
-	handler, flush := netsrc.AssemblingHandler(asm, pipe.PushSnapshot)
-	srv, err := netsrc.Serve(addr, handler)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "listening on %s for %v\n", srv.Addr(), d)
-	select {
-	case <-time.After(d):
-	case sig := <-stop:
-		fmt.Fprintf(os.Stderr, "%v: draining\n", sig)
-	}
-	if err := srv.Close(); err != nil {
-		return err
-	}
-	flush()
-	return nil
-}
-
-// serveRecords ingests records over TCP into the partitioned source layer:
+// serveRecords ingests records over TCP into the source stage:
 // the stateless RecordHandler forwards every record to PushRecord, and all
 // dedup/ordering/coverage logic runs inside the dataflow's source stage.
 // A background ticker emits source watermarks lagging the highest received
@@ -420,7 +368,7 @@ func serveRecords(addr string, d time.Duration, lag model.Tick, pipe *core.Pipel
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "listening on %s for %v (partitioned source)\n", srv.Addr(), d)
+	fmt.Fprintf(os.Stderr, "listening on %s for %v\n", srv.Addr(), d)
 	done := make(chan struct{})
 	var tickerWG sync.WaitGroup
 	tickerWG.Add(1)
@@ -453,7 +401,7 @@ func serveRecords(addr string, d time.Duration, lag model.Tick, pipe *core.Pipel
 }
 
 // feedRecords parses the CSV stream and pushes individual records into the
-// partitioned source layer. On resume, skip holds the per-partition record
+// source stage. On resume, skip holds the per-partition record
 // counts already covered by the checkpoint: the CSV replay is
 // deterministic, so skipping exactly that many records of each shard
 // resumes every partition at its own offset.
@@ -524,50 +472,4 @@ func parseRecord(txt string) (model.ObjectID, model.Tick, geo.Point, error) {
 		return 0, 0, geo.Point{}, fmt.Errorf("y: %v", err)
 	}
 	return model.ObjectID(id), model.Tick(tick), geo.Point{X: x, Y: y}, nil
-}
-
-// feed parses the CSV stream into per-tick snapshots and pushes them,
-// skipping checkpointed ticks on resume and stopping early on a
-// termination signal (graceful drain).
-func feed(r io.Reader, pipe *core.Pipeline, skipThrough model.Tick, stop <-chan os.Signal) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var cur *model.Snapshot
-	push := func(s *model.Snapshot) {
-		if s.Tick > skipThrough {
-			pipe.PushSnapshot(s)
-		}
-	}
-	line := 0
-	for sc.Scan() {
-		line++
-		txt := strings.TrimSpace(sc.Text())
-		if txt == "" || strings.HasPrefix(txt, "#") {
-			continue
-		}
-		id, t, loc, err := parseRecord(txt)
-		if err != nil {
-			return fmt.Errorf("line %d: %w", line, err)
-		}
-		if cur != nil && t < cur.Tick {
-			return fmt.Errorf("line %d: tick %d after %d (stream must be tick-ordered)", line, t, cur.Tick)
-		}
-		if cur == nil || t > cur.Tick {
-			if cur != nil {
-				push(cur)
-				select {
-				case sig := <-stop:
-					fmt.Fprintf(os.Stderr, "%v: draining\n", sig)
-					return nil
-				default:
-				}
-			}
-			cur = &model.Snapshot{Tick: t}
-		}
-		cur.Add(id, loc)
-	}
-	if cur != nil {
-		push(cur)
-	}
-	return sc.Err()
 }

@@ -26,8 +26,7 @@
 //	for _, p := range result.Patterns { fmt.Println(p) }
 //
 // See the examples directory for runnable end-to-end programs and
-// EXPERIMENTS.md for the benchmark suite reproducing the paper's
-// evaluation.
+// benchmark/README.md for the repository benchmark.
 package icpe
 
 import (
@@ -115,8 +114,9 @@ type Options struct {
 	Interval time.Duration
 	// Origin anchors tick 0 (default: time of the first record).
 	Origin time.Time
-	// Slack delays snapshot release to absorb out-of-order records, in
-	// ticks (default 0).
+	// Slack delays each source partition's coverage watermark to absorb
+	// out-of-order records, in ticks (default 0). Like SourcePartitions
+	// it is part of a checkpointed job's identity.
 	Slack int
 
 	// Method selects the enumerator (default MethodFBA).
@@ -133,22 +133,20 @@ type Options struct {
 	// part of the checkpoint's config fingerprint), while Parallelism may
 	// change across CheckpointResume.
 	MaxParallelism int
-	// SourcePartitions moves ingestion into the dataflow: Push-fed records
-	// are routed by object id to this many parallel source partitions
-	// (each with its own last-time tracker and coverage watermark) and
-	// snapshots are assembled by a keyed stage instead of on the caller's
-	// goroutine. 0 keeps the classic host-side assembly. Like
-	// MaxParallelism it is part of a checkpointed job's identity and must
-	// stay fixed across CheckpointResume; PushSnapshot is unavailable in
-	// this mode.
+	// SourcePartitions is the number of parallel source partitions
+	// (default 1): Push-fed records are routed by object id to one of
+	// them, each with its own last-time tracker and coverage watermark,
+	// inside the dataflow. Like MaxParallelism it is part of a
+	// checkpointed job's identity and must stay fixed across
+	// CheckpointResume.
 	SourcePartitions int
 	// Incremental switches the pipeline to cross-tick delta maintenance:
 	// allocate diffs each snapshot against the previous positions, the
 	// range join keeps persistent per-cell indexes, and clustering is
 	// maintained incrementally — identical results, with per-tick work
 	// proportional to how many objects moved rather than to the full
-	// population. Requires ClusterRJC and SourcePartitions == 0. Like
-	// MaxParallelism it is part of a checkpointed job's identity.
+	// population. Requires ClusterRJC. Like MaxParallelism it is part of
+	// a checkpointed job's identity.
 	Incremental bool
 	// Nodes simulates a cluster of this many nodes (0 = uncapped).
 	Nodes int
@@ -180,9 +178,8 @@ type Options struct {
 	// to skip via Detector.ResumeTick. See ARCHITECTURE.md for the
 	// checkpoint cut, recovery sequence, and store layout.
 	CheckpointDir string
-	// CheckpointInterval is the barrier cadence in snapshots — with
-	// SourcePartitions > 0, in stream ticks, which is the same cadence
-	// (default 32 when CheckpointDir is set).
+	// CheckpointInterval is the barrier cadence in stream ticks (default
+	// 32 when CheckpointDir is set).
 	CheckpointInterval int
 	// CheckpointResume restores from the latest completed checkpoint in
 	// CheckpointDir before processing (fresh start when none exists).
@@ -247,9 +244,6 @@ type Detector struct {
 	opts     Options
 	pipe     *core.Pipeline
 	disc     *stream.Discretizer
-	asm      *stream.Assembler
-	buf      []*model.Snapshot
-	now      func() time.Time
 	anchored bool
 	obsSrv   *obs.Server
 }
@@ -275,17 +269,12 @@ func New(opts Options) (*Detector, error) {
 		Parallelism:      opts.Parallelism,
 		MaxParallelism:   opts.MaxParallelism,
 		SourcePartitions: opts.SourcePartitions,
+		SourceSlack:      model.Tick(opts.Slack),
 		Incremental:      opts.Incremental,
 		ExchangeBatch:    opts.ExchangeBatch,
 		Transport:        opts.Transport,
 		CollectPatterns:  collect,
 		OnPattern:        opts.OnPattern,
-	}
-	if opts.SourcePartitions > 0 {
-		// In partitioned mode the out-of-order slack lives in the source
-		// partitions; in classic mode it tunes only the host-side assembler
-		// and must stay out of the config (and checkpoint fingerprint).
-		cfg.SourceSlack = model.Tick(opts.Slack)
 	}
 	if opts.CheckpointDir != "" {
 		cfg.CheckpointDir = opts.CheckpointDir
@@ -323,25 +312,13 @@ func New(opts Options) (*Detector, error) {
 		}
 		return nil, fmt.Errorf("icpe: %w", err)
 	}
-	d := &Detector{opts: opts, pipe: pipe, now: time.Now, obsSrv: obsSrv}
+	d := &Detector{opts: opts, pipe: pipe, obsSrv: obsSrv}
 	interval := opts.Interval
 	if interval <= 0 {
 		interval = time.Second
 	}
 	d.anchored = !opts.Origin.IsZero()
 	d.disc = stream.NewDiscretizer(opts.Origin, interval)
-	if opts.SourcePartitions <= 0 {
-		// Classic mode: snapshots are assembled on the caller's goroutine.
-		// (With a partitioned source, assembly happens inside the dataflow
-		// and the restored source-partition state handles replay dedup.)
-		d.asm = stream.NewAssembler()
-		d.asm.Slack = model.Tick(opts.Slack)
-		if pos, ok := pipe.ResumePosition(); ok {
-			// Replayed records at or below the checkpoint cut are dropped;
-			// the restored operator state already accounts for them.
-			d.asm.ResumeAt(pos.LastTick + 1)
-		}
-	}
 	pipe.Start()
 	if d.obsSrv != nil {
 		d.obsSrv.SetReady(true)
@@ -368,28 +345,18 @@ func (d *Detector) ResumeTick() (Tick, bool) {
 }
 
 // Push ingests one raw GPS record. Records may arrive out of order within
-// the configured slack; duplicates within one tick are dropped.
+// the configured slack; duplicates within one tick are dropped. Time
+// discretization happens here (a pure function of the origin and
+// interval); last-time tracking, dedup and snapshot release run inside
+// the dataflow's source partitions, whose restored state also drops the
+// records a resumed run replays from before its checkpoint.
 func (d *Detector) Push(r Record) {
 	if !d.anchored {
 		// No explicit origin: anchor tick 0 at the first record.
 		d.disc = stream.NewDiscretizer(r.Time, d.interval())
 		d.anchored = true
 	}
-	if d.asm == nil {
-		// Partitioned source: time discretization happens here (a pure
-		// function of the origin and interval); last-time tracking, dedup
-		// and assembly run inside the dataflow's source partitions.
-		d.pipe.PushRecord(r.Object, r.Loc, d.disc.Tick(r.Time))
-		return
-	}
-	sr, ok := d.disc.Discretize(r, d.now())
-	if !ok {
-		return
-	}
-	d.buf = d.asm.Push(sr, d.buf[:0])
-	for _, s := range d.buf {
-		d.pipe.PushSnapshot(s)
-	}
+	d.pipe.PushRecord(r.Object, r.Loc, d.disc.Tick(r.Time))
 }
 
 func (d *Detector) interval() time.Duration {
@@ -399,9 +366,9 @@ func (d *Detector) interval() time.Duration {
 	return time.Second
 }
 
-// PushSnapshot bypasses discretization and assembly, feeding a pre-built
-// snapshot (ticks must increase strictly). Unavailable (panics) with
-// SourcePartitions > 0 — records are the unit of partitioned ingestion.
+// PushSnapshot bypasses discretization, feeding a pre-built snapshot
+// (ticks must increase strictly) as one record per object followed by a
+// source watermark at its tick, so the snapshot is released at once.
 func (d *Detector) PushSnapshot(s *Snapshot) {
 	d.pipe.PushSnapshot(s)
 }
@@ -409,11 +376,6 @@ func (d *Detector) PushSnapshot(s *Snapshot) {
 // Close flushes pending snapshots and all enumerator state, stops the
 // pipeline, and returns the result.
 func (d *Detector) Close() Result {
-	if d.asm != nil {
-		for _, s := range d.asm.FlushAll(nil) {
-			d.pipe.PushSnapshot(s)
-		}
-	}
 	res := d.pipe.Finish()
 	if d.obsSrv != nil {
 		// Shut the endpoint down after the drain so a final scrape during

@@ -1,16 +1,20 @@
 package icpe
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
 	"repro/internal/datagen"
+	"repro/internal/enum"
 	"repro/internal/model"
+	"repro/internal/ref"
+	"repro/internal/trajio"
 )
 
 func TestDetectorEndToEndFromRecords(t *testing.T) {
 	// Planted workload converted to wall-clock GPS records, pushed through
-	// the full ingestion path (discretize -> assemble -> pipeline).
+	// the full ingestion path (discretize -> source -> pipeline).
 	cfg := datagen.DefaultPlanted(5)
 	cfg.NumGroups = 2
 	cfg.GroupSize = 5
@@ -63,8 +67,10 @@ func TestDetectorEndToEndFromRecords(t *testing.T) {
 	}
 }
 
-// The detector's partitioned-source mode must find the same patterns as
-// its classic host-side assembly from the same Push-fed record stream.
+// The detector's Push path — discretization, then last-time assembly in
+// the dataflow's source partitions — must find exactly the patterns of the
+// sequential reference over the same stream, at one partition (the
+// default) and at several.
 func TestDetectorPartitionedSourceMatchesClassic(t *testing.T) {
 	cfg := datagen.DefaultPlanted(5)
 	cfg.NumGroups = 2
@@ -95,31 +101,33 @@ func TestDetectorPartitionedSourceMatchesClassic(t *testing.T) {
 			}
 		}
 		res := det.Close()
-		if parts > 0 && res.Stats.Snapshots != 100 {
+		if res.Stats.Snapshots != 100 {
 			t.Errorf("parts=%d: %d snapshots, want 100", parts, res.Stats.Snapshots)
 		}
 		return res.Patterns
 	}
 
-	want := map[string]bool{}
-	for _, p := range run(0) {
-		want[p.Key()] = true
-	}
+	want := sortedPatternsCSV(t, ref.Patterns(snaps, model.Constraints{M: 4, K: 6, L: 3, G: 3},
+		cfg.Eps, 4*cfg.Eps, L1, 4, enum.NewFBA))
 	if len(want) == 0 {
-		t.Fatal("classic mode found no patterns; weak test")
+		t.Fatal("reference found no patterns; weak test")
 	}
-	got := map[string]bool{}
-	for _, p := range run(3) {
-		got[p.Key()] = true
-	}
-	if len(got) != len(want) {
-		t.Fatalf("partitioned mode found %d distinct patterns, classic %d", len(got), len(want))
-	}
-	for k := range want {
-		if !got[k] {
-			t.Errorf("pattern %s missing in partitioned mode", k)
+	for _, parts := range []int{0, 3} {
+		if got := sortedPatternsCSV(t, run(parts)); !bytes.Equal(got, want) {
+			t.Errorf("parts=%d: pattern output differs from the sequential reference", parts)
 		}
 	}
+}
+
+// sortedPatternsCSV renders patterns in their canonical form (sorted CSV).
+func sortedPatternsCSV(t *testing.T, ps []Pattern) []byte {
+	t.Helper()
+	enum.SortPatterns(ps)
+	var buf bytes.Buffer
+	if err := trajio.WritePatternsCSV(&buf, ps); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func TestDetectorPushSnapshotPath(t *testing.T) {

@@ -5,9 +5,9 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/geo"
 	"repro/internal/join"
+	"repro/internal/ref"
 )
 
 // Ablation measures each optimization lemma's contribution to the range
@@ -29,7 +29,7 @@ func Ablation(w io.Writer, seed int64, sc Scale) {
 			l1, l2 bool
 		}{{true, true}, {false, true}, {true, false}, {false, false}} {
 			eng := join.NewAblation(jp, v.l1, v.l2)
-			cl := &cluster.Clusterer{Engine: eng, MinPts: p.MinPts}
+			cl := &ref.Clusterer{Engine: eng, MinPts: p.MinPts}
 			unique := 0
 			start := time.Now()
 			for _, s := range d.Snapshots {

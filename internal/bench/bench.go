@@ -7,8 +7,8 @@
 // Scale: the paper streams 24-190 M GPS points through an 11-node cluster;
 // this harness defaults to scaled-down synthetic datasets (see DESIGN.md
 // for the substitution table) sized to finish on one machine. Absolute
-// numbers therefore differ from the paper; EXPERIMENTS.md records the
-// shape comparison (who wins, by what factor, where curves cross).
+// numbers therefore differ from the paper; compare shapes (who wins, by
+// what factor, where curves cross), not absolute values.
 //
 // Parameter mapping: eps and lg are expressed as percentages of the
 // dataset's maximal coordinate extent, exactly as in Table 3. The temporal

@@ -114,7 +114,7 @@ func TestChurnDatasetKnobs(t *testing.T) {
 // The front_end section's equality checks are hard failures inside the
 // runner, so a successful small-scale build means classic and incremental
 // partitioned runs (inproc, tcp, kill-resume 4->2) all matched the
-// snapshot-path oracle byte for byte.
+// sequential reference byte for byte.
 func TestFrontEndReportSmallScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run pipeline sweep")

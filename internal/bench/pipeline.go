@@ -18,6 +18,7 @@ import (
 	"repro/internal/flow"
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/ref"
 	"repro/internal/trajio"
 	"repro/internal/transport/tcpnet"
 )
@@ -201,7 +202,7 @@ type FrontEndRun struct {
 // FrontEndReport is the partitioned front end's scaling and equivalence
 // section: allocate-stage throughput at parallelism 1/2/4 in both modes,
 // every row's pattern output checked byte-for-byte against the
-// snapshot-path oracle (the bench hard-fails on any mismatch, so a
+// sequential reference (the bench hard-fails on any mismatch, so a
 // written report implies every check passed), plus the same equality
 // over TCP workers and across a kill at one parallelism resumed at
 // another.
@@ -1065,30 +1066,25 @@ func runPipelineFrontEndResume(d Dataset, cfg core.Config, parts, fromPar, toPar
 // runPipelineFrontEnd builds the front_end section: the allocate-stage
 // scaling sweep (parallelism 1/2/4, classic and incremental, minimum
 // critical path over samples) with every run's pattern output checked
-// against the snapshot-path oracle, then the TCP and kill-resume
-// equivalence checks.
+// against the sequential reference (internal/ref), then the TCP and
+// kill-resume equivalence checks.
 func runPipelineFrontEnd(seed int64, sc Scale) (*FrontEndReport, error) {
 	d := MakeDataset("planted", seed, sc)
 	p := DefaultParams()
 	cfg := d.config(p, core.RJC, core.FBA)
 
-	ocfg := cfg
-	ocfg.CollectPatterns = true
-	oracleRes, err := core.RunSnapshots(ocfg, cloneSnapshots(d.Snapshots))
-	if err != nil {
-		return nil, err
+	refPats := ref.Patterns(d.Snapshots, cfg.Constraints, cfg.Eps, cfg.CellWidth, cfg.Metric, cfg.MinPts, enum.NewFBA)
+	if len(refPats) == 0 {
+		return nil, fmt.Errorf("bench: front end: sequential reference found no patterns; weak check")
 	}
-	if len(oracleRes.Patterns) == 0 {
-		return nil, fmt.Errorf("bench: front end: snapshot-path oracle found no patterns; weak check")
-	}
-	oracle, err := canonPatterns(oracleRes.Patterns)
+	oracle, err := canonPatterns(refPats)
 	if err != nil {
 		return nil, err
 	}
 	rep := &FrontEndReport{
 		Objects:        d.Objects,
 		Ticks:          len(d.Snapshots),
-		OraclePatterns: int64(len(oracleRes.Patterns)),
+		OraclePatterns: int64(len(refPats)),
 	}
 
 	const samples = 3
@@ -1103,7 +1099,7 @@ func runPipelineFrontEnd(seed int64, sc Scale) (*FrontEndReport, error) {
 					return nil, err
 				}
 				if !bytes.Equal(canon, oracle) {
-					return nil, fmt.Errorf("bench: front end %s parallelism %d: %d patterns differ from snapshot-path oracle's %d",
+					return nil, fmt.Errorf("bench: front end %s parallelism %d: %d patterns differ from the sequential reference's %d",
 						run.Mode, par, run.Patterns, rep.OraclePatterns)
 				}
 				if i == 0 || run.AllocateCriticalSeconds < best.AllocateCriticalSeconds {
@@ -1127,7 +1123,7 @@ func runPipelineFrontEnd(seed int64, sc Scale) (*FrontEndReport, error) {
 			return nil, err
 		}
 		if !bytes.Equal(canon, oracle) {
-			return nil, fmt.Errorf("bench: front end tcp (incremental=%v): patterns differ from snapshot-path oracle", incremental)
+			return nil, fmt.Errorf("bench: front end tcp (incremental=%v): patterns differ from the sequential reference", incremental)
 		}
 	}
 	rep.TCPPatternsMatch = true
@@ -1137,22 +1133,10 @@ func runPipelineFrontEnd(seed int64, sc Scale) (*FrontEndReport, error) {
 		return nil, err
 	}
 	if !bytes.Equal(canon, oracle) {
-		return nil, fmt.Errorf("bench: front end kill-resume 4->2: committed patterns differ from snapshot-path oracle")
+		return nil, fmt.Errorf("bench: front end kill-resume 4->2: committed patterns differ from the sequential reference")
 	}
 	rep.ResumePatternsMatch = true
 	return rep, nil
-}
-
-// cloneSnapshots deep-copies the dataset for a consuming run (PushSnapshot
-// takes ownership).
-func cloneSnapshots(snaps []*model.Snapshot) []*model.Snapshot {
-	out := make([]*model.Snapshot, len(snaps))
-	for i, s := range snaps {
-		c := s.Clone()
-		c.Ingest = time.Time{}
-		out[i] = c
-	}
-	return out
 }
 
 // runPipelineIncremental measures one churn level in both execution
@@ -1321,7 +1305,7 @@ func PipelineJSON(w io.Writer, seed int64, sc Scale) error {
 	}
 	// Partitioned front end: allocate-stage scaling at its own ~10k-object
 	// scale (FrontEndScale) with hard pattern-equality checks against the
-	// snapshot-path oracle (inproc, tcp, kill-resume at a different
+	// sequential reference (inproc, tcp, kill-resume at a different
 	// parallelism).
 	frontEnd, err := runPipelineFrontEnd(seed, FrontEndScale)
 	if err != nil {

@@ -28,17 +28,18 @@ type ckptRunner struct {
 	events    *events.Log // structured event log (nil discards)
 	onCommit  func(id uint64, pats []model.Pattern)
 
-	mu          sync.Mutex
-	count       int64      // source units pushed, including the resumed prefix
-	lastTick    model.Tick // tick of the last pushed snapshot / highest record tick
+	mu sync.Mutex
+	// count is the source units pushed, including the resumed prefix: one
+	// per PushRecord, one per PushSnapshot.
+	count       int64
+	lastTick    model.Tick // highest pushed tick
 	lastBarrier int64      // count at the last injected barrier
 	nextID      uint64
 	resume      *ckpt.SourcePosition
 
-	// Partitioned-source mode: per-partition replay offsets mirrored into
-	// every checkpoint's source position (nil in snapshot mode), plus the
-	// tick-based barrier cadence — the interval keeps its "snapshots
-	// between checkpoints" meaning by counting ticks, not records.
+	// Per-partition replay offsets mirrored into every checkpoint's source
+	// position, plus the tick-based barrier cadence: the interval means
+	// "ticks between checkpoints", whatever the records per tick.
 	partRecs        []int64
 	partTicks       []model.Tick
 	nextBarrierTick model.Tick
@@ -151,14 +152,12 @@ func newCkptRunner(cfg *Config, stages []ckpt.StageInfo) (*ckptRunner, *ckpt.Man
 			cfg.Events.Emit("compaction", events.F("id", id), events.F("chain", chainLen))
 		}
 	}
-	if cfg.SourcePartitions > 0 {
-		r.partRecs = make([]int64, cfg.SourcePartitions)
-		r.partTicks = make([]model.Tick, cfg.SourcePartitions)
-		for i := range r.partTicks {
-			r.partTicks[i] = model.NoLastTime
-		}
-		r.lastTick = model.NoLastTime // max over record ticks, none yet
+	r.partRecs = make([]int64, cfg.SourcePartitions)
+	r.partTicks = make([]model.Tick, cfg.SourcePartitions)
+	for i := range r.partTicks {
+		r.partTicks[i] = model.NoLastTime
 	}
+	r.lastTick = model.NoLastTime // max over pushed ticks, none yet
 	coord.OnComplete = r.onComplete
 	var man *ckpt.Manifest
 	if cfg.Resume {
@@ -169,28 +168,24 @@ func newCkptRunner(cfg *Config, stages []ckpt.StageInfo) (*ckptRunner, *ckpt.Man
 			if err := man.Validate(stages, cfg.MaxParallelism); err != nil {
 				return nil, nil, err
 			}
-			if cfg.SourcePartitions > 0 {
-				// The fingerprint pins the partition count, so a mismatch
-				// here means a corrupted manifest, not a config change.
-				if len(man.Source.Partitions) != cfg.SourcePartitions {
-					return nil, nil, fmt.Errorf(
-						"core: checkpoint %d records %d source partitions, this run has %d",
-						man.ID, len(man.Source.Partitions), cfg.SourcePartitions)
-				}
-				for i, pp := range man.Source.Partitions {
-					r.partRecs[i] = pp.Records
-					r.partTicks[i] = pp.LastTick
-				}
+			// The fingerprint pins the partition count, so a mismatch
+			// here means a corrupted manifest, not a config change.
+			if len(man.Source.Partitions) != cfg.SourcePartitions {
+				return nil, nil, fmt.Errorf(
+					"core: checkpoint %d records %d source partitions, this run has %d",
+					man.ID, len(man.Source.Partitions), cfg.SourcePartitions)
+			}
+			for i, pp := range man.Source.Partitions {
+				r.partRecs[i] = pp.Records
+				r.partTicks[i] = pp.LastTick
 			}
 			r.resume = &man.Source
 			r.count = man.Source.Snapshots
 			r.lastBarrier = man.Source.Snapshots
 			r.lastTick = man.Source.LastTick
 			r.nextID = man.ID + 1
-			if cfg.SourcePartitions > 0 {
-				r.nextBarrierTick = man.Source.LastTick + 1 + model.Tick(cfg.CheckpointInterval)
-				r.haveCadence = true
-			}
+			r.nextBarrierTick = man.Source.LastTick + 1 + model.Tick(cfg.CheckpointInterval)
+			r.haveCadence = true
 			cfg.Events.Emit("restore", events.F("id", man.ID),
 				events.F("last_tick", int64(man.Source.LastTick)),
 				events.F("snapshots", man.Source.Snapshots),
@@ -231,52 +226,57 @@ func (r *ckptRunner) ack(id uint64, stage, subtask int, state []byte, err error)
 	}()
 }
 
-// afterPush records one pushed snapshot and decides whether the barrier
-// for a new checkpoint must be injected behind it. The caller submits the
-// barrier (the runner has no pipeline reference, keeping it testable).
-func (r *ckptRunner) afterPush(tick model.Tick) (b ckptBarrier, inject bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.count++
-	r.lastTick = tick
-	if r.interval <= 0 || r.count-r.lastBarrier < r.interval {
-		return ckptBarrier{}, false
-	}
-	return r.beginLocked(), true
-}
-
-// beforePushRecord records one source record routed to partition part and
+// beforePush records one source unit at tick — a record, or a whole
+// snapshot — whose records route to the source partitions in parts, and
 // decides whether the barrier for a new checkpoint must be injected ahead
-// of it (partitioned-source mode). The cadence is tick-based — a barrier
-// fires before the first record whose tick has advanced CheckpointInterval
-// ticks past the previous cut — so the interval keeps the same meaning as
-// in snapshot mode and cuts fall on tick boundaries of an ordered stream.
-// The caller holds the pipeline's source mutex and submits the barrier
-// before the record, so the counted prefix is exactly the record set ahead
-// of the barrier on every source edge.
-func (r *ckptRunner) beforePushRecord(part int, tick model.Tick) (b ckptBarrier, inject bool) {
+// of it. The cadence is tick-based: a barrier fires before the first unit
+// whose tick has advanced CheckpointInterval ticks past the previous cut,
+// so cuts fall on tick boundaries of an ordered stream. The caller holds
+// the pipeline's source mutex and submits the barrier before the unit's
+// records, so the counted prefix is exactly the record set ahead of the
+// barrier on every source edge. (The runner has no pipeline reference,
+// keeping it testable.)
+func (r *ckptRunner) beforePush(tick model.Tick, parts ...int) (b ckptBarrier, inject bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.interval > 0 {
-		switch {
-		case !r.haveCadence:
-			r.nextBarrierTick = tick + model.Tick(r.interval)
-			r.haveCadence = true
-		case tick >= r.nextBarrierTick && r.count > r.lastBarrier:
-			b = r.beginLocked() // position excludes the record behind the barrier
-			r.nextBarrierTick = tick + model.Tick(r.interval)
-			inject = true
-		}
-	}
+	b, inject = r.cutLocked(tick) // position excludes the unit behind the barrier
 	r.count++
 	if tick > r.lastTick {
 		r.lastTick = tick
 	}
-	if part >= 0 && part < len(r.partRecs) {
+	for _, part := range parts {
 		r.partRecs[part]++
 		if tick > r.partTicks[part] {
 			r.partTicks[part] = tick
 		}
+	}
+	return b, inject
+}
+
+// afterTick is called once every record of tick has been pushed and its
+// watermark submitted. The barrier the next tick would open goes out now,
+// right behind that watermark, instead of waiting for the next tick's
+// first record: the cut is the same, and a paced driver sees the
+// checkpoint without pushing more.
+func (r *ckptRunner) afterTick(tick model.Tick) (b ckptBarrier, inject bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.cutLocked(tick + 1)
+}
+
+// cutLocked applies the barrier cadence to the next unit at tick.
+func (r *ckptRunner) cutLocked(tick model.Tick) (b ckptBarrier, inject bool) {
+	if r.interval <= 0 {
+		return b, false
+	}
+	switch {
+	case !r.haveCadence:
+		r.nextBarrierTick = tick + model.Tick(r.interval)
+		r.haveCadence = true
+	case tick >= r.nextBarrierTick && r.count > r.lastBarrier:
+		b = r.beginLocked()
+		r.nextBarrierTick = tick + model.Tick(r.interval)
+		inject = true
 	}
 	return b, inject
 }
@@ -297,14 +297,15 @@ func (r *ckptRunner) beginLocked() ckptBarrier {
 	id := r.nextID
 	r.nextID++
 	r.lastBarrier = r.count
-	pos := ckpt.SourcePosition{Snapshots: r.count, LastTick: r.lastTick}
-	if r.partRecs != nil {
-		pos.Partitions = make([]ckpt.PartitionPosition, len(r.partRecs))
-		for i := range r.partRecs {
-			pos.Partitions[i] = ckpt.PartitionPosition{
-				Records:  r.partRecs[i],
-				LastTick: r.partTicks[i],
-			}
+	pos := ckpt.SourcePosition{
+		Snapshots:  r.count,
+		LastTick:   r.lastTick,
+		Partitions: make([]ckpt.PartitionPosition, len(r.partRecs)),
+	}
+	for i := range r.partRecs {
+		pos.Partitions[i] = ckpt.PartitionPosition{
+			Records:  r.partRecs[i],
+			LastTick: r.partTicks[i],
 		}
 	}
 	b := ckptBarrier{id: id}
@@ -458,9 +459,10 @@ func resumeManifest(store ckpt.Store, fp []byte) (*ckpt.Manifest, error) {
 }
 
 // ResumePosition reports the source position a resumed pipeline restarts
-// from: the driver must skip every snapshot with tick <= LastTick (they
-// are part of the restored state). ok is false when the run did not resume
-// from a checkpoint.
+// from: a driver replaying whole ticks skips every tick <= LastTick (they
+// are part of the restored state); one replaying a record stream skips
+// each partition's Records. ok is false when the run did not resume from
+// a checkpoint.
 func (p *Pipeline) ResumePosition() (ckpt.SourcePosition, bool) {
 	if p.ck == nil || p.ck.resume == nil {
 		return ckpt.SourcePosition{}, false

@@ -93,26 +93,21 @@ type Config struct {
 	// space of all keyed state — and must match the checkpoint's on
 	// resume (it is validated via the config fingerprint).
 	MaxParallelism int
-	// SourcePartitions moves ingestion into the dataflow: the topology gains
-	// a partitioned source stage (this many subtasks, each owning a disjoint
-	// shard of object ids routed by key group) feeding the allocate stage
-	// directly — records stay keyed by object id end to end, each allocate
-	// subtask diffs/allocates only its own key groups' objects, and no stage
-	// ever materializes a global snapshot. The pipeline is fed individual
-	// records via PushRecord instead of driver-assembled snapshots. 0 (the
-	// default) keeps the classic PushSnapshot path. Unlike Parallelism, the
-	// partition count shards the external stream and the per-partition
-	// replay offsets, so it is part of a checkpointed job's identity
-	// (fingerprinted) and must stay fixed across a resume; every other stage
-	// still rescales freely.
+	// SourcePartitions is the number of source subtasks, the stage that
+	// runs ahead of allocate (default 1). Each owns a disjoint shard of
+	// object ids, routed by key group, tracks its objects' last times and
+	// emits a coverage watermark; allocate subtasks consume the records
+	// directly, still keyed by object id, so no stage ever materializes a
+	// global snapshot. Unlike Parallelism, the partition count shards the
+	// external stream and the per-partition replay offsets, so it is part
+	// of a checkpointed job's identity (fingerprinted) and must stay fixed
+	// across a resume; every other stage still rescales freely.
 	SourcePartitions int
 	// SourceSlack delays a source partition's coverage watermark by this
-	// many ticks, absorbing late first records of unknown objects (see
-	// stream.Assembler.Slack). Only used with SourcePartitions > 0.
+	// many ticks, absorbing late first records of unknown objects.
 	SourceSlack model.Tick
 	// SourceSilence is how many ticks an object may stay silent before its
 	// partition stops waiting for it (default stream.DefaultSilenceTimeout).
-	// Only used with SourcePartitions > 0.
 	SourceSilence model.Tick
 	// Incremental switches the pipeline to delta-based cross-tick
 	// computation: allocate diffs each snapshot against the previous
@@ -121,11 +116,10 @@ type Config struct {
 	// the clustering stage maintains the DBSCAN structure incrementally.
 	// Results are identical to the from-scratch path; only the work per
 	// tick changes (proportional to churn instead of snapshot size).
-	// Requires the RJC cluster method; composes with either source
-	// (classic PushSnapshot or the partitioned record feed). Like
-	// MaxParallelism it is part of a checkpointed job's identity: the
-	// stateful operators' blob formats differ per mode, so the mode is
-	// fingerprinted and must match on resume.
+	// Requires the RJC cluster method. Like MaxParallelism it is part of a
+	// checkpointed job's identity: the stateful operators' blob formats
+	// differ per mode, so the mode is fingerprinted and must match on
+	// resume.
 	Incremental bool
 	// ExchangeBatch is the record batch size on the keyed exchanges between
 	// stages (default 32); values < 0 ship record-at-a-time. Batches are
@@ -152,11 +146,10 @@ type Config struct {
 	OnTickComplete func(model.Tick)
 
 	// CheckpointInterval enables aligned-barrier checkpointing: a barrier
-	// is injected after every CheckpointInterval-th snapshot (with
-	// SourcePartitions > 0: once the record stream's tick has advanced by
-	// that many ticks — the same cadence, measured at the record-feed
-	// front), and each operator's keyed state is written to the checkpoint
-	// store (0 = disabled). See internal/ckpt for the protocol.
+	// is injected ahead of the first record whose tick has advanced
+	// CheckpointInterval ticks past the previous cut, and each operator's
+	// keyed state is written to the checkpoint store (0 = disabled). See
+	// internal/ckpt for the protocol.
 	CheckpointInterval int
 	// CheckpointDir is the local checkpoint directory (required when
 	// CheckpointInterval > 0 unless CheckpointStore is set).
@@ -284,6 +277,11 @@ func (c *Config) fill() error {
 	if c.SourcePartitions < 0 {
 		return fmt.Errorf("core: negative source partitions %d", c.SourcePartitions)
 	}
+	if c.SourcePartitions == 0 {
+		// A constant, not Parallelism: the partition count is fingerprinted,
+		// while Parallelism may change across a resume.
+		c.SourcePartitions = 1
+	}
 	if c.SourcePartitions > c.MaxParallelism {
 		return fmt.Errorf("core: source partitions %d exceed max parallelism %d",
 			c.SourcePartitions, c.MaxParallelism)
@@ -291,7 +289,7 @@ func (c *Config) fill() error {
 	if c.SourceSlack < 0 || c.SourceSilence < 0 {
 		return fmt.Errorf("core: negative source slack/silence")
 	}
-	if c.SourcePartitions > 0 && c.SourceSilence == 0 {
+	if c.SourceSilence == 0 {
 		c.SourceSilence = stream.DefaultSilenceTimeout
 	}
 	if c.Incremental && c.Cluster != RJC {
@@ -387,12 +385,10 @@ type Result struct {
 	BAOverflow bool
 }
 
-// tickHeap is a min-heap of pushed ticks not yet completion-sampled.
-// PushSnapshot feeds it in increasing order (the new tick is already the
-// maximum, so the sift is a no-op), but the partitioned record feed
-// registers ticks from concurrent, possibly skewed feeders — the heap
-// keeps both insert and pop O(log n) where the former sorted slice paid
-// an O(n) copy per out-of-order insert.
+// tickHeap is a min-heap of pushed ticks not yet completion-sampled. The
+// record feed registers ticks from concurrent, possibly skewed feeders;
+// the heap keeps both insert and pop O(log n) where a sorted slice would
+// pay an O(n) copy per out-of-order insert.
 type tickHeap []model.Tick
 
 func (h *tickHeap) push(t model.Tick) {
@@ -440,8 +436,8 @@ type Pipeline struct {
 	fl   *flow.Pipeline
 	mets *Metrics
 	ck   *ckptRunner // nil when checkpointing is disabled
-	// allocStats receives the front-end allocate delta counters and
-	// per-shard flush marks (SourcePartitions > 0 only, nil otherwise).
+	// allocStats receives the allocate delta counters and per-shard
+	// flush marks.
 	allocStats *allocate.Stats
 
 	// srcMu serializes PushRecord callers (network front-ends feed from
@@ -483,19 +479,17 @@ func (p *Pipeline) noteSourceTick(t model.Tick) {
 	}
 }
 
-// New builds an ICPE pipeline. Call Start, feed snapshots with
-// PushSnapshot, then Finish.
+// New builds an ICPE pipeline. Call Start, feed records with PushRecord
+// (or whole snapshots with PushSnapshot), then Finish.
 func New(cfg Config) (*Pipeline, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
 	p := &Pipeline{
-		cfg:    cfg,
-		mets:   &Metrics{},
-		ingest: make(map[model.Tick]time.Time),
-	}
-	if p.cfg.SourcePartitions > 0 {
-		p.allocStats = allocate.NewStats(p.cfg.Parallelism)
+		cfg:        cfg,
+		mets:       &Metrics{},
+		ingest:     make(map[model.Tick]time.Time),
+		allocStats: allocate.NewStats(cfg.Parallelism),
 	}
 	g, err := Topology(&p.cfg, Hooks{
 		OnCluster:     p.recordCluster,
@@ -540,54 +534,66 @@ func (p *Pipeline) Start() {
 	p.fl.Start()
 }
 
-// PushSnapshot feeds one snapshot (ticks must be strictly increasing).
+// PushSnapshot feeds one whole snapshot through the record source: one
+// record per object, stamped with s.Ingest (now when unset), then a source
+// watermark at s.Tick, so the tick is released as soon as its records
+// reach allocate. Ticks must be strictly increasing. An empty snapshot
+// still registers its tick, so it counts in Metrics.Snapshots and reaches
+// OnTickComplete. With checkpointing a snapshot is one source unit: no
+// barrier splits it, and the barrier due after it goes out right behind
+// its watermark.
 func (p *Pipeline) PushSnapshot(s *model.Snapshot) {
-	if p.cfg.SourcePartitions > 0 {
-		panic("core: PushSnapshot on a partitioned-source pipeline (feed records with PushRecord)")
-	}
-	now := time.Now()
 	if s.Ingest.IsZero() {
-		s.Ingest = now
+		s.Ingest = time.Now()
 	}
-	p.mu.Lock()
-	p.ingest[s.Tick] = s.Ingest
-	p.queue.push(s.Tick)
-	p.mu.Unlock()
 	p.noteSourceTick(s.Tick)
-	if p.cfg.Incremental {
-		// Constant key: every snapshot routes to the one allocate subtask
-		// holding the previous tick's positions.
-		p.fl.Submit(0, s)
-	} else {
-		p.fl.Submit(uint64(s.Tick), s)
+	p.registerTick(s.Tick, s.Ingest)
+	parts := make([]int, len(s.Objects))
+	for i, obj := range s.Objects {
+		parts[i] = p.SourcePartitionOf(obj)
 	}
-	p.fl.SubmitWatermark(s.Tick)
 	if p.ck != nil {
-		// The barrier rides behind the snapshot's watermark, so the
-		// checkpoint cut falls exactly between two ticks of the stream.
-		if b, inject := p.ck.afterPush(s.Tick); inject {
+		p.srcMu.Lock()
+		defer p.srcMu.Unlock()
+		if b, inject := p.ck.beforePush(s.Tick, parts...); inject {
 			p.injectBarrier(b)
 		}
 	}
-	p.mets.mu.Lock()
-	p.mets.Snapshots++
-	p.mets.mu.Unlock()
+	// The records go out in Batch carriers of ExchangeBatch per source
+	// partition: the runtime's per-message cost is paid per batch, not per
+	// record.
+	batches := make([][]any, p.cfg.SourcePartitions)
+	for i, obj := range s.Objects {
+		part := parts[i]
+		batches[part] = append(batches[part], msg.Rec{Object: obj, Loc: s.Locs[i], Tick: s.Tick, Ingest: s.Ingest})
+		if len(batches[part]) == p.cfg.ExchangeBatch {
+			p.fl.SubmitBatch(part, batches[part])
+			batches[part] = nil
+		}
+	}
+	for part, items := range batches {
+		if len(items) > 0 {
+			p.fl.SubmitBatch(part, items)
+		}
+	}
+	p.fl.SubmitWatermark(s.Tick)
+	if p.ck != nil {
+		if b, inject := p.ck.afterTick(s.Tick); inject {
+			p.injectBarrier(b)
+		}
+	}
 }
 
-// PushRecord feeds one discretized trajectory record into the partitioned
-// source layer (requires Config.SourcePartitions > 0): the record is routed
-// by its object id to the owning source partition, which tracks last-time
-// markers, merges shard coverage into its watermark, and forwards the
-// record — still keyed by object id — to the allocate subtask owning that
-// key group. Records of one object must be pushed in increasing tick order;
-// duplicates and stale ticks are dropped inside the source partition —
-// which is also what makes replaying a stream after a resume idempotent.
-// Safe for concurrent use (network front-ends feed from several connection
-// read loops).
+// PushRecord feeds one discretized trajectory record into the source
+// stage: the record is routed by its object id to the owning source
+// partition, which tracks last-time markers, merges shard coverage into
+// its watermark, and forwards the record — still keyed by object id — to
+// the allocate subtask owning that key group. Records of one object must
+// be pushed in increasing tick order; duplicates and stale ticks are
+// dropped inside the source partition — which is also what makes
+// replaying a stream after a resume idempotent. Safe for concurrent use
+// (network front-ends feed from several connection read loops).
 func (p *Pipeline) PushRecord(obj model.ObjectID, loc geo.Point, tick model.Tick) {
-	if p.cfg.SourcePartitions <= 0 {
-		panic("core: PushRecord needs Config.SourcePartitions > 0 (use PushSnapshot)")
-	}
 	rec := msg.Rec{
 		Object: obj,
 		Loc:    loc,
@@ -608,8 +614,7 @@ func (p *Pipeline) PushRecord(obj model.ObjectID, loc geo.Point, tick model.Tick
 	// the set ahead of the barrier on every source edge; the barrier goes
 	// out first so the cut falls on a tick boundary of an ordered stream.
 	p.srcMu.Lock()
-	part := stream.PartitionFor(obj, p.cfg.MaxParallelism, p.cfg.SourcePartitions)
-	if b, inject := p.ck.beforePushRecord(part, tick); inject {
+	if b, inject := p.ck.beforePush(tick, p.SourcePartitionOf(obj)); inject {
 		p.injectBarrier(b)
 	}
 	p.fl.Submit(uint64(obj), rec)
@@ -617,15 +622,12 @@ func (p *Pipeline) PushRecord(obj model.ObjectID, loc geo.Point, tick model.Tick
 }
 
 // PushSourceWatermark promises that no further PushRecord will carry a
-// tick <= wm (partitioned-source mode). Source partitions force-release
-// their pending coverage up to wm and forward the watermark, which keeps
-// snapshot release live even for partitions whose shard is empty or
-// silent — drivers replaying a tick-ordered stream call it at every tick
-// boundary. Records pushed later with tick <= wm are dropped.
+// tick <= wm. Source partitions force-release their pending coverage up to
+// wm and forward the watermark, which keeps snapshot release live even for
+// partitions whose shard is empty or silent — drivers replaying a
+// tick-ordered stream call it at every tick boundary. Records pushed later
+// with tick <= wm are dropped.
 func (p *Pipeline) PushSourceWatermark(wm model.Tick) {
-	if p.cfg.SourcePartitions <= 0 {
-		panic("core: PushSourceWatermark needs Config.SourcePartitions > 0")
-	}
 	if p.ck == nil {
 		p.fl.SubmitWatermark(wm)
 		return
@@ -635,18 +637,17 @@ func (p *Pipeline) PushSourceWatermark(wm model.Tick) {
 	p.srcMu.Unlock()
 }
 
-// SourcePartitionOf returns the source partition a record of obj routes to
-// (requires SourcePartitions > 0). Drivers replaying a deterministic
-// stream after a resume pair it with ResumePosition's per-partition record
-// counts to skip each shard's already-checkpointed prefix.
+// SourcePartitionOf returns the source partition a record of obj routes
+// to. Drivers replaying a deterministic stream after a resume pair it with
+// ResumePosition's per-partition record counts to skip each shard's
+// already-checkpointed prefix.
 func (p *Pipeline) SourcePartitionOf(obj model.ObjectID) int {
 	return stream.PartitionFor(obj, p.cfg.MaxParallelism, p.cfg.SourcePartitions)
 }
 
-// registerTick does the per-tick driver bookkeeping of the partitioned
-// record feed — what PushSnapshot does once per snapshot on the classic
-// path: the first record of each tick stamps the tick's ingest instant,
-// queues it for completion sampling, and counts one stream snapshot. The
+// registerTick does the per-tick driver bookkeeping of the record feed:
+// the first record of each tick stamps the tick's ingest instant, queues
+// it for completion sampling, and counts one stream snapshot. The
 // common case (another record of the tick just registered) is one atomic
 // load; records from skewed concurrent feeders fall through to the map
 // check, which makes registration exact regardless of interleaving.
@@ -837,7 +838,8 @@ func (p *Pipeline) setOverflow() {
 	p.mu.Unlock()
 }
 
-// RunSnapshots is a convenience: start, push all snapshots, finish.
+// RunSnapshots is a convenience: start, push all snapshots (PushSnapshot),
+// finish.
 func RunSnapshots(cfg Config, snaps []*model.Snapshot) (Result, error) {
 	p, err := New(cfg)
 	if err != nil {

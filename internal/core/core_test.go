@@ -4,14 +4,28 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/datagen"
 	"repro/internal/enum"
 	"repro/internal/geo"
-	"repro/internal/join"
 	"repro/internal/model"
+	"repro/internal/ref"
 	"repro/internal/topology"
 )
+
+// referencePatterns runs the sequential reference (internal/ref: RJC join,
+// DBSCAN, enumeration driver) over snaps with cfg's detection parameters
+// — the oracle every pipeline configuration must reproduce exactly.
+func referencePatterns(t *testing.T, cfg Config, snaps []*model.Snapshot) []model.Pattern {
+	t.Helper()
+	if err := cfg.fill(); err != nil {
+		t.Fatal(err)
+	}
+	mk, err := enumFactory(cfg.Enum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ref.Patterns(snaps, cfg.Constraints, cfg.Eps, cfg.CellWidth, cfg.Metric, cfg.MinPts, mk)
+}
 
 func plantedWorkload(seed int64, ticks int) (*datagen.Planted, []*model.Snapshot, Config) {
 	cfg := datagen.DefaultPlanted(seed)
@@ -69,24 +83,7 @@ func TestPipelineMatchesSequentialReference(t *testing.T) {
 		}
 		enum.SortPatterns(res.Patterns)
 
-		// Sequential reference.
-		cl := &cluster.Clusterer{
-			Engine: join.NewRJC(join.Params{
-				Eps: cfg.Eps, CellWidth: cfg.CellWidth, Metric: cfg.Metric,
-			}),
-			MinPts: cfg.MinPts,
-		}
-		hist := cl.ClusterAll(snaps)
-		var mk enum.NewFunc
-		switch method {
-		case BA:
-			mk = enum.NewBA
-		case FBA:
-			mk = enum.NewFBA
-		case VBA:
-			mk = enum.NewVBA
-		}
-		want := enum.NewDriver(cfg.Constraints, mk).Run(hist)
+		want := referencePatterns(t, cfg, snaps)
 
 		if len(res.Patterns) != len(want) {
 			t.Fatalf("%s: pipeline %d patterns, reference %d",
@@ -203,7 +200,7 @@ func TestStandardTopologyShape(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatalf("standard topology invalid: %v", err)
 	}
-	want := []string{"allocate", "rangejoin", "cluster", "enumerate"}
+	want := []string{"source", "allocate", "rangejoin", "cluster", "enumerate"}
 	if len(g.Stages) != len(want) {
 		t.Fatalf("%d stages, want %d", len(g.Stages), len(want))
 	}
@@ -226,7 +223,7 @@ func TestStandardTopologyShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(g.Stages) != 3 || g.Stages[len(g.Stages)-1].Name != "cluster" {
+	if len(g.Stages) != 4 || g.Stages[len(g.Stages)-1].Name != "cluster" {
 		t.Errorf("NoEnum topology has stages %v", stageNames(g.Stages))
 	}
 }

@@ -190,7 +190,7 @@ func TopologyStageNames(cfg Config) ([]string, error) {
 // worker handshake on c, wires the tcpnet transport and remote sink
 // delivery into a core.Pipeline, and arranges Finish to wait for every
 // worker. The returned pipeline is used exactly like an in-process one
-// (Start, PushSnapshot, Finish); clustering-internal metrics
+// (Start, PushRecord, Finish); clustering-internal metrics
 // (ClusterLatency, AvgClusterSize) are recorded on the workers and stay
 // empty here.
 //

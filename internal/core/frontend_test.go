@@ -9,18 +9,15 @@ import (
 // record stream through 1, 2 and 4 source partitions (each allocate
 // subtask diffing only its own key groups, phantom deletes covering
 // silent shards) must yield byte-identical sorted pattern output to the
-// classic single-driver snapshot path.
+// sequential reference.
 func TestPartitionedIncrementalMatchesSnapshotPath(t *testing.T) {
 	_, snaps, cfg := plantedWorkload(1234, 120)
 	cfg.CollectPatterns = true
-	ref, err := RunSnapshots(cfg, snaps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ref.Patterns) == 0 {
+	refPats := referencePatterns(t, cfg, snaps)
+	if len(refPats) == 0 {
 		t.Fatal("reference run found no patterns; weak test")
 	}
-	want := patternsCSV(t, ref.Patterns)
+	want := patternsCSV(t, refPats)
 
 	for _, parts := range []int{1, 2, 4} {
 		for _, withWM := range []bool{false, true} {
@@ -36,8 +33,8 @@ func TestPartitionedIncrementalMatchesSnapshotPath(t *testing.T) {
 			feedRecordStream(pipe, snaps2, nil, withWM)
 			res := pipe.Finish()
 			if got := patternsCSV(t, res.Patterns); !bytes.Equal(got, want) {
-				t.Errorf("incremental partitions=%d wm=%v: %d patterns differ from snapshot path's %d",
-					parts, withWM, len(res.Patterns), len(ref.Patterns))
+				t.Errorf("incremental partitions=%d wm=%v: %d patterns differ from the sequential reference's %d",
+					parts, withWM, len(res.Patterns), len(refPats))
 			}
 		}
 	}
@@ -45,20 +42,17 @@ func TestPartitionedIncrementalMatchesSnapshotPath(t *testing.T) {
 
 // Churn behind the incremental front end: objects enter, move and leave
 // the stream, so shard-local diffing must reproduce membership deltas
-// (including whole-shard silent stretches) exactly as the global
-// snapshot diff would.
+// (including whole-shard silent stretches) exactly as the sequential
+// reference sees them.
 func TestPartitionedIncrementalChurnMatchesSnapshotPath(t *testing.T) {
 	for seed := int64(0); seed < 2; seed++ {
 		snaps, cfg := churnWorkload(seed, 90, 0.1, 0.05)
 		cfg.CollectPatterns = true
-		ref, err := RunSnapshots(cfg, snaps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ref.Patterns) == 0 {
+		refPats := referencePatterns(t, cfg, snaps)
+		if len(refPats) == 0 {
 			t.Fatalf("seed=%d: reference run found no patterns; weak test", seed)
 		}
-		want := patternsCSV(t, ref.Patterns)
+		want := patternsCSV(t, refPats)
 
 		for _, parts := range []int{2, 4} {
 			snaps2, cfg2 := churnWorkload(seed, 90, 0.1, 0.05)
@@ -73,8 +67,8 @@ func TestPartitionedIncrementalChurnMatchesSnapshotPath(t *testing.T) {
 			feedRecordStream(pipe, snaps2, nil, true)
 			res := pipe.Finish()
 			if got := patternsCSV(t, res.Patterns); !bytes.Equal(got, want) {
-				t.Errorf("seed=%d partitions=%d: %d patterns differ from snapshot path's %d",
-					seed, parts, len(res.Patterns), len(ref.Patterns))
+				t.Errorf("seed=%d partitions=%d: %d patterns differ from the sequential reference's %d",
+					seed, parts, len(res.Patterns), len(refPats))
 			}
 		}
 	}
@@ -82,18 +76,15 @@ func TestPartitionedIncrementalChurnMatchesSnapshotPath(t *testing.T) {
 
 // The incremental front end over real TCP workers: records, partial
 // metas, cell deltas and pair deltas all cross sockets, output still
-// matches the classic snapshot path byte for byte.
+// matches the sequential reference byte for byte.
 func TestPartitionedIncrementalDistributedTCP(t *testing.T) {
 	_, snaps, cfg := plantedWorkload(99, 80)
 	cfg.CollectPatterns = true
-	ref, err := RunSnapshots(cfg, snaps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ref.Patterns) == 0 {
+	refPats := referencePatterns(t, cfg, snaps)
+	if len(refPats) == 0 {
 		t.Fatal("reference run found no patterns; weak test")
 	}
-	want := patternsCSV(t, ref.Patterns)
+	want := patternsCSV(t, refPats)
 
 	_, snaps2, cfg2 := plantedWorkload(99, 80)
 	cfg2.CollectPatterns = true
@@ -101,8 +92,8 @@ func TestPartitionedIncrementalDistributedTCP(t *testing.T) {
 	cfg2.Incremental = true
 	res := runDistributedRecords(t, cfg2, snaps2, 2)
 	if got := patternsCSV(t, res.Patterns); !bytes.Equal(got, want) {
-		t.Errorf("tcp incremental front end: %d patterns differ from snapshot path's %d",
-			len(res.Patterns), len(ref.Patterns))
+		t.Errorf("tcp incremental front end: %d patterns differ from the sequential reference's %d",
+			len(res.Patterns), len(refPats))
 	}
 }
 

@@ -21,8 +21,8 @@ import (
 type Hooks struct {
 	OnCluster  func(model.Tick, *model.ClusterSnapshot)
 	OnOverflow func()
-	// AllocStats, when non-nil, receives the front-end allocate counters
-	// (SourcePartitions > 0 only; typically nil on worker processes).
+	// AllocStats, when non-nil, receives the allocate counters (typically
+	// nil on worker processes).
 	AllocStats    *allocate.Stats
 	Sink          func(any)
 	SinkWatermark func(model.Tick)
@@ -31,20 +31,14 @@ type Hooks struct {
 // Topology declares the standard ICPE pipeline of the paper (Figure 3) for
 // one Config, as data:
 //
-//	source -> allocate -> rangejoin -> cluster -> enumerate -> sink
-//	       (keyed by tick) (by cell)  (by tick)  (by trajectory id)
+//	driver -> source -> allocate -> rangejoin -> cluster -> enumerate -> sink
+//	 (keyed by object id) (by object id) (by cell) (by tick) (by trajectory id)
 //
-// With SourcePartitions > 0 ingestion itself becomes part of the dataflow —
-// one extra stage runs ahead of allocate and no stage ever materializes a
-// global snapshot:
-//
-//	driver -> source -> allocate -> ...
-//	  (keyed by object id) (by object id)
-//
-// where each source subtask owns one shard of object ids and each allocate
-// subtask buffers its own key groups' records, diffing/allocating them
-// shard-locally as the merged per-partition coverage watermark advances
-// (see internal/ops/sourceop and internal/ops/allocate).
+// Ingestion is part of the dataflow and no stage ever materializes a
+// global snapshot: each source subtask owns one shard of object ids and
+// each allocate subtask buffers its own key groups' records, diffing or
+// allocating them shard-locally as the merged per-partition coverage
+// watermark advances (see internal/ops/sourceop and internal/ops/allocate).
 //
 // Every edge is a batched keyed exchange (Config.ExchangeBatch). The graph
 // is plain data; callers may inspect or tweak it before Build.
@@ -76,39 +70,30 @@ func Topology(cfg *Config, h Hooks) (*topology.Graph, error) {
 		return nil, fmt.Errorf("core: unknown cluster method %q", cfg.Cluster)
 	}
 
-	frontEnd := cfg.SourcePartitions > 0
-	var stages []topology.Stage
-	var exchanges []topology.Exchange
-	if frontEnd {
-		// Normalize here too (like batch), so a Config built without New's
-		// fill pass gets the documented silence default.
-		silence := cfg.SourceSilence
-		if silence <= 0 {
-			silence = stream.DefaultSilenceTimeout
-		}
-		slack := cfg.SourceSlack
-		stages = append(stages, topology.Stage{
+	// Normalize here too (like batch), so a Config built without New's
+	// fill pass gets the documented defaults.
+	partitions := cfg.SourcePartitions
+	if partitions <= 0 {
+		partitions = 1
+	}
+	silence := cfg.SourceSilence
+	if silence <= 0 {
+		silence = stream.DefaultSilenceTimeout
+	}
+	slack := cfg.SourceSlack
+	stages := []topology.Stage{
+		{
 			Name:        "source",
-			Parallelism: cfg.SourcePartitions,
+			Parallelism: partitions,
 			Operator: func(int) flow.Operator {
 				return sourceop.NewPartition(slack, silence)
 			},
-		})
-		// source -> allocate (records by object id)
-		exchanges = append(exchanges, topology.Exchange{Batch: batch})
-	}
-
-	stages = append(stages, []topology.Stage{
+		},
 		{
 			Name:        "allocate",
 			Parallelism: cfg.Parallelism,
 			Operator: func(subtask int) flow.Operator {
-				if frontEnd {
-					return allocate.NewFrontEnd(lg, cfg.Eps, mode, cfg.Incremental, subtask, h.AllocStats)
-				}
-				op := allocate.New(lg, cfg.Eps, mode)
-				op.Incremental = cfg.Incremental
-				return op
+				return allocate.New(lg, cfg.Eps, mode, cfg.Incremental, subtask, h.AllocStats)
 			},
 		},
 		{
@@ -117,7 +102,6 @@ func Topology(cfg *Config, h Hooks) (*topology.Graph, error) {
 			Operator: func(int) flow.Operator {
 				op := rangejoin.New(cfg.Eps, cfg.Metric, kernel)
 				op.Incremental = cfg.Incremental
-				op.FrontEnd = frontEnd
 				return op
 			},
 		},
@@ -131,16 +115,16 @@ func Topology(cfg *Config, h Hooks) (*topology.Graph, error) {
 					GroupMin:    cfg.Constraints.M,
 					Enumerate:   cfg.Enum != NoEnum,
 					Incremental: cfg.Incremental,
-					FrontEnd:    frontEnd,
 					OnCluster:   h.OnCluster,
 				})
 			},
 		},
-	}...)
-	exchanges = append(exchanges,
-		topology.Exchange{Batch: batch}, // allocate -> rangejoin (cell tasks)
-		topology.Exchange{Batch: batch}, // rangejoin -> cluster (pair sets)
-	)
+	}
+	exchanges := []topology.Exchange{
+		{Batch: batch}, // source -> allocate (records by object id)
+		{Batch: batch}, // allocate -> rangejoin (cell tasks)
+		{Batch: batch}, // rangejoin -> cluster (pair sets)
+	}
 	if cfg.Enum != NoEnum {
 		stages = append(stages, topology.Stage{
 			Name:        "enumerate",

@@ -171,50 +171,46 @@ func (p *Pipeline) setupObs() {
 		}
 	})
 
-	if p.allocStats != nil {
-		enters := reg.Counter(mAllocDeltas, "Front-end allocate object transitions by kind.", obs.L("kind", "enter"))
-		moves := reg.Counter(mAllocDeltas, "Front-end allocate object transitions by kind.", obs.L("kind", "move"))
-		leaves := reg.Counter(mAllocDeltas, "Front-end allocate object transitions by kind.", obs.L("kind", "leave"))
-		shards := len(p.allocStats.Flushed)
-		lags := make([]*obs.Gauge, shards)
-		for i := 0; i < shards; i++ {
-			lags[i] = reg.Gauge(mAllocLag, "Source tick minus a front-end allocate subtask's flushed watermark (0 until both have advanced).", obs.L("shard", strconv.Itoa(i)))
-		}
-		reg.OnGather(func() {
-			enters.Set(float64(p.allocStats.Enters.Load()))
-			moves.Set(float64(p.allocStats.Moves.Load()))
-			leaves.Set(float64(p.allocStats.Leaves.Load()))
-			src, haveSrc := p.srcTick.Load(), p.srcSeen.Load()
-			for i := range lags {
-				f := p.allocStats.Flushed[i].Load()
-				if !haveSrc || f == 0 || src < f-1 {
-					lags[i].Set(0)
-					continue
-				}
-				lags[i].Set(float64(src - (f - 1)))
-			}
-		})
+	enters := reg.Counter(mAllocDeltas, "Front-end allocate object transitions by kind.", obs.L("kind", "enter"))
+	moves := reg.Counter(mAllocDeltas, "Front-end allocate object transitions by kind.", obs.L("kind", "move"))
+	leaves := reg.Counter(mAllocDeltas, "Front-end allocate object transitions by kind.", obs.L("kind", "leave"))
+	shards := len(p.allocStats.Flushed)
+	lags := make([]*obs.Gauge, shards)
+	for i := 0; i < shards; i++ {
+		lags[i] = reg.Gauge(mAllocLag, "Source tick minus a front-end allocate subtask's flushed watermark (0 until both have advanced).", obs.L("shard", strconv.Itoa(i)))
 	}
+	reg.OnGather(func() {
+		enters.Set(float64(p.allocStats.Enters.Load()))
+		moves.Set(float64(p.allocStats.Moves.Load()))
+		leaves.Set(float64(p.allocStats.Leaves.Load()))
+		src, haveSrc := p.srcTick.Load(), p.srcSeen.Load()
+		for i := range lags {
+			f := p.allocStats.Flushed[i].Load()
+			if !haveSrc || f == 0 || src < f-1 {
+				lags[i].Set(0)
+				continue
+			}
+			lags[i].Set(float64(src - (f - 1)))
+		}
+	})
 
 	if p.ck != nil {
 		registerCheckpointMetrics(reg, p.ck.stats)
-		if p.cfg.SourcePartitions > 0 {
-			nParts := p.cfg.SourcePartitions
-			partRecs := make([]*obs.Counter, nParts)
-			partTicks := make([]*obs.Gauge, nParts)
-			for i := 0; i < nParts; i++ {
-				l := obs.L("partition", strconv.Itoa(i))
-				partRecs[i] = reg.Counter(mPartRecords, "Records pushed per source partition (the checkpoint replay offset).", l)
-				partTicks[i] = reg.Gauge(mPartTick, "Highest record tick seen per source partition.", l)
-			}
-			reg.OnGather(func() {
-				recs, ticks := p.ck.partitionOffsets()
-				for i := range recs {
-					partRecs[i].Set(float64(recs[i]))
-					partTicks[i].Set(float64(ticks[i]))
-				}
-			})
+		nParts := p.cfg.SourcePartitions
+		partRecs := make([]*obs.Counter, nParts)
+		partTicks := make([]*obs.Gauge, nParts)
+		for i := 0; i < nParts; i++ {
+			l := obs.L("partition", strconv.Itoa(i))
+			partRecs[i] = reg.Counter(mPartRecords, "Records pushed per source partition (the checkpoint replay offset).", l)
+			partTicks[i] = reg.Gauge(mPartTick, "Highest record tick seen per source partition.", l)
 		}
+		reg.OnGather(func() {
+			recs, ticks := p.ck.partitionOffsets()
+			for i := range recs {
+				partRecs[i].Set(float64(recs[i]))
+				partTicks[i].Set(float64(ticks[i]))
+			}
+		})
 	}
 
 	latencySummary(reg, &p.mets.CompletionLatency, "completion")

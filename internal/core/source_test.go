@@ -76,19 +76,16 @@ func recordCount(snaps []*model.Snapshot, n int) int64 {
 
 // The same input stream fed as individual records through 1, 2 and 4
 // source partitions must yield byte-identical sorted pattern output to the
-// single-driver snapshot path — the pinned equivalence of the partitioned
-// source layer.
+// sequential reference — the pinned equivalence of the partitioned source
+// layer.
 func TestPartitionedSourceMatchesSnapshotPath(t *testing.T) {
 	_, snaps, cfg := plantedWorkload(1234, 120)
 	cfg.CollectPatterns = true
-	ref, err := RunSnapshots(cfg, snaps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ref.Patterns) == 0 {
+	refPats := referencePatterns(t, cfg, snaps)
+	if len(refPats) == 0 {
 		t.Fatal("reference run found no patterns; weak test")
 	}
-	want := patternsCSV(t, ref.Patterns)
+	want := patternsCSV(t, refPats)
 
 	for _, parts := range []int{1, 2, 4} {
 		for _, withWM := range []bool{false, true} {
@@ -103,8 +100,8 @@ func TestPartitionedSourceMatchesSnapshotPath(t *testing.T) {
 			feedRecordStream(pipe, snaps2, nil, withWM)
 			res := pipe.Finish()
 			if got := patternsCSV(t, res.Patterns); !bytes.Equal(got, want) {
-				t.Errorf("partitions=%d wm=%v: %d patterns differ from snapshot path's %d",
-					parts, withWM, len(res.Patterns), len(ref.Patterns))
+				t.Errorf("partitions=%d wm=%v: %d patterns differ from the sequential reference's %d",
+					parts, withWM, len(res.Patterns), len(refPats))
 			}
 			if res.Metrics.Snapshots != int64(len(snaps2)) {
 				t.Errorf("partitions=%d wm=%v: assembled %d snapshots, want %d",
@@ -117,19 +114,15 @@ func TestPartitionedSourceMatchesSnapshotPath(t *testing.T) {
 // The partitioned source over the TCP transport: the source and front-end
 // allocate stages run on real worker processes (every edge crossing a
 // socket via round-robin placement), the driver submits raw records, and
-// the output must still match the single-driver snapshot path byte for
-// byte.
+// the output must still match the sequential reference byte for byte.
 func TestPartitionedSourceDistributedTCP(t *testing.T) {
 	_, snaps, cfg := plantedWorkload(99, 80)
 	cfg.CollectPatterns = true
-	ref, err := RunSnapshots(cfg, snaps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ref.Patterns) == 0 {
+	refPats := referencePatterns(t, cfg, snaps)
+	if len(refPats) == 0 {
 		t.Fatal("reference run found no patterns; weak test")
 	}
-	want := patternsCSV(t, ref.Patterns)
+	want := patternsCSV(t, refPats)
 
 	for _, parts := range []int{2, 4} {
 		_, snaps2, cfg2 := plantedWorkload(99, 80)
@@ -137,8 +130,8 @@ func TestPartitionedSourceDistributedTCP(t *testing.T) {
 		cfg2.SourcePartitions = parts
 		res := runDistributedRecords(t, cfg2, snaps2, 2)
 		if got := patternsCSV(t, res.Patterns); !bytes.Equal(got, want) {
-			t.Errorf("tcp partitions=%d: %d patterns differ from snapshot path's %d",
-				parts, len(res.Patterns), len(ref.Patterns))
+			t.Errorf("tcp partitions=%d: %d patterns differ from the sequential reference's %d",
+				parts, len(res.Patterns), len(refPats))
 		}
 	}
 }

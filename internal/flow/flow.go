@@ -592,6 +592,13 @@ func (p *Pipeline) Submit(key uint64, data any) {
 	eps[p.route(key, len(eps))].Send(Message{From: 0, Data: data})
 }
 
+// SubmitBatch feeds records into one stage-0 subtask as a single Batch
+// carrier, which the runtime unpacks in order. The caller routes: every
+// item must be one that Submit would send to that subtask.
+func (p *Pipeline) SubmitBatch(subtask int, items []any) {
+	p.inputs[0][subtask].Send(Message{From: 0, Data: Batch{Items: items}})
+}
+
 // SubmitAll feeds one record to every stage-0 subtask.
 func (p *Pipeline) SubmitAll(data any) {
 	for _, ep := range p.inputs[0] {

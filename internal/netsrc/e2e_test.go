@@ -13,14 +13,15 @@ import (
 	"repro/internal/geo"
 	"repro/internal/model"
 	"repro/internal/netsrc"
-	"repro/internal/stream"
+	"repro/internal/ref"
 	"repro/internal/trajio"
 )
 
 // End-to-end network ingest: concurrent publishers stream TRJ1 frames to a
-// netsrc server whose handler assembles snapshots (last-time protocol) and
-// feeds the full detector pipeline. The planted groups must be recovered at
-// the far end, and no snapshot may be lost on the way.
+// netsrc server whose handler feeds the full detector pipeline, which
+// assembles snapshots in its source stage (last-time protocol). The
+// planted groups must be recovered at the far end, and no snapshot may be
+// lost on the way.
 func TestNetworkIngestToPatterns(t *testing.T) {
 	const ticks = 120
 	gen := datagen.DefaultPlanted(4242)
@@ -48,15 +49,11 @@ func TestNetworkIngestToPatterns(t *testing.T) {
 	}
 	pipe.Start()
 
-	// The ingest path is cmd/icpe serve()'s: netsrc.AssemblingHandler
-	// (last-time chains + snapshot assembly) feeding the pipeline; the
-	// test additionally counts records and snapshots as they pass.
-	var pushed, received atomic.Int64
-	asm := stream.NewAssembler()
-	handler, flush := netsrc.AssemblingHandler(asm, func(s *model.Snapshot) {
-		pushed.Add(1)
-		pipe.PushSnapshot(s)
-	})
+	// The ingest path is cmd/icpe serveRecords()'s: netsrc.RecordHandler
+	// feeding the pipeline's source stage; the test additionally counts
+	// records as they pass.
+	var received atomic.Int64
+	handler := netsrc.RecordHandler(pipe.PushRecord)
 	srv, err := netsrc.Serve("127.0.0.1:0", func(r trajio.Rec) {
 		received.Add(1)
 		handler(r)
@@ -71,7 +68,7 @@ func TestNetworkIngestToPatterns(t *testing.T) {
 	// gateways, the next tick is not emitted until the current one has been
 	// ingested. (Without pacing, one connection's read loop can sprint
 	// through its whole buffered stream before the others start, and the
-	// assembler would rightly release snapshots without the laggards.)
+	// source would rightly release snapshots without the laggards.)
 	const nPubs = 3
 	pubs := make([]*netsrc.Publisher, nPubs)
 	for i := range pubs {
@@ -121,12 +118,8 @@ func TestNetworkIngestToPatterns(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	flush()
 
 	res := pipe.Finish()
-	if n := pushed.Load(); n != ticks {
-		t.Errorf("assembled %d snapshots, want %d", n, ticks)
-	}
 	if res.Metrics.Snapshots != int64(ticks) {
 		t.Errorf("pipeline consumed %d snapshots, want %d", res.Metrics.Snapshots, ticks)
 	}
@@ -155,8 +148,8 @@ func sortedPatternsCSV(t *testing.T, ps []model.Pattern) []byte {
 // Multi-feed ingestion into the partitioned source layer: two publishers,
 // each owning a disjoint object slice, stream TRJ1 frames over real TCP
 // sockets into one job whose source stage runs two partitions. The handler
-// is the stateless RecordHandler — no host-side assembler — and the sorted
-// pattern output must be byte-identical to the single-driver snapshot path.
+// is the stateless RecordHandler, and the sorted pattern output must be
+// byte-identical to the sequential reference.
 func TestMultiPublisherPartitionedSource(t *testing.T) {
 	const ticks = 120
 	makeWorkload := func() (*datagen.Planted, []*model.Snapshot, core.Config) {
@@ -178,16 +171,13 @@ func TestMultiPublisherPartitionedSource(t *testing.T) {
 		}
 	}
 
-	// Oracle: the same stream through the single-driver snapshot path.
+	// Oracle: the same stream through the sequential reference.
 	_, snaps, cfg := makeWorkload()
-	ref, err := core.RunSnapshots(cfg, snaps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ref.Patterns) == 0 {
+	refPats := ref.Patterns(snaps, cfg.Constraints, cfg.Eps, cfg.CellWidth, cfg.Metric, cfg.MinPts, enum.NewFBA)
+	if len(refPats) == 0 {
 		t.Fatal("oracle found no patterns; weak test")
 	}
-	want := sortedPatternsCSV(t, ref.Patterns)
+	want := sortedPatternsCSV(t, refPats)
 
 	_, snaps2, cfg2 := makeWorkload()
 	cfg2.SourcePartitions = 2
@@ -268,6 +258,6 @@ func TestMultiPublisherPartitionedSource(t *testing.T) {
 	}
 	if got := sortedPatternsCSV(t, res.Patterns); !bytes.Equal(got, want) {
 		t.Errorf("multi-publisher partitioned output differs: %d patterns, want %d",
-			len(res.Patterns), len(ref.Patterns))
+			len(res.Patterns), len(refPats))
 	}
 }

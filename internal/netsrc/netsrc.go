@@ -5,7 +5,7 @@
 //
 // The server forwards every record to a single handler; ordering is
 // preserved per connection (TCP FIFO), and cross-connection synchronization
-// is exactly what the pipeline's last-time snapshot assembly handles.
+// is exactly what the pipeline's source partitions handle.
 package netsrc
 
 import (
@@ -16,11 +16,25 @@ import (
 	"net"
 	"sync"
 
+	"repro/internal/geo"
+	"repro/internal/model"
 	"repro/internal/trajio"
 )
 
 // Handler consumes one record from the network.
 type Handler func(trajio.Rec)
+
+// RecordHandler bridges network ingestion to the pipeline's source stage:
+// every record is forwarded raw to push — typically
+// core.Pipeline.PushRecord — and the last-time tracking, deduplication and
+// coverage assembly all happen inside the dataflow's source partitions.
+// The handler is stateless, so any number of publisher connections feed
+// one job concurrently, and after a crash recovery each publisher simply
+// replays its stream: the restored partition state drops what the
+// checkpoint already absorbed.
+func RecordHandler(push func(model.ObjectID, geo.Point, model.Tick)) Handler {
+	return func(r trajio.Rec) { push(r.Object, r.Loc, r.Tick) }
+}
 
 // Server ingests record streams over TCP.
 type Server struct {

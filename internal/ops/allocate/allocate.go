@@ -1,23 +1,14 @@
-// Package allocate implements the GridAllocate operator (Algorithm 1):
-// each incoming snapshot is replicated into grid cell tasks according to
-// the configured replication mode and emitted keyed by cell, plus one
-// msg.Meta announcement keyed by tick so downstream stages learn the
-// snapshot's object ids.
-//
-// In incremental mode the operator instead diffs each snapshot against
-// the previous tick's positions and emits per-cell msg.CellDelta tasks
-// (enter/leave/move), so downstream stages only touch the cells where
-// something changed.
-//
-// In front-end mode (partitioned ingestion, SourcePartitions > 0) there is
-// no snapshot at all: the operator is fed raw records keyed by object id,
-// buffers each tick's records for its own key groups, and flushes a tick
-// when the merged source watermark passes it — emitting a partial
-// msg.Meta (this shard's sorted object ids) plus either id-keyed cell
-// tasks (classic) or cell deltas diffed against the shard's own
-// previous-tick positions (incremental). The previous-position map is
-// genuinely per-key-group state: it checkpoints bucketed by the object
-// id's key group and therefore rescales with the stage.
+// Package allocate implements the GridAllocate operator (Algorithm 1) fed
+// by the partitioned record source. There is no snapshot: the operator
+// receives raw records keyed by object id, buffers each tick's records for
+// its own key groups, and flushes a tick when the merged source watermark
+// passes it — emitting a partial msg.Meta (this shard's sorted object ids)
+// plus either cell tasks replicated by the configured mode (classic) or
+// msg.CellDelta enter/leave/move tasks diffed against the shard's own
+// previous-tick positions (incremental), so downstream stages only touch
+// the cells where something changed. The previous-position map is
+// per-key-group state: it checkpoints bucketed by the object id's key
+// group and therefore rescales with the stage.
 package allocate
 
 import (
@@ -40,11 +31,10 @@ var (
 	_ ckpt.DeltaSnapshotter = (*Op)(nil)
 )
 
-// noTick is the "nothing flushed yet" sentinel for the front-end tick
-// cursor (matches the flow runtime's initial watermark).
+// noTick is the "nothing flushed yet" sentinel for the tick cursor (matches the flow runtime's initial watermark).
 const noTick = model.Tick(-1 << 62)
 
-// Stats aggregates front-end allocate counters across the stage's
+// Stats aggregates allocate counters across the stage's
 // subtasks; the driver registers them as metrics. Enter/move/leave
 // classify incremental diffs (a classic run leaves them at zero).
 type Stats struct {
@@ -69,11 +59,9 @@ type partial struct {
 	ingest time.Time
 }
 
-// Op is the GridAllocate operator; one instance per subtask. In classic
-// snapshot mode it is stateless; in incremental snapshot mode the single
-// subtask owning key group 0 holds the previous tick's positions; in
-// front-end mode every subtask holds the previous positions of its own
-// key groups plus the open per-tick record buffers.
+// Op is the GridAllocate operator; one instance per subtask. Every subtask
+// holds the open per-tick record buffers of its own key groups, plus, in
+// incremental mode, their objects' previous positions.
 type Op struct {
 	flow.BaseOperator
 	// CellWidth is the grid cell width lg.
@@ -83,25 +71,18 @@ type Op struct {
 	// Mode selects Lemma 1 upper-half replication (RJC) or full-region
 	// replication (the SRJ/GDC baselines).
 	Mode grid.Mode
-	// Incremental switches the operator to delta emission. In snapshot
-	// mode the topology must then route every snapshot by the same
-	// constant key, so one subtask sees the whole stream in tick order;
-	// in front-end mode each subtask diffs its own shard independently.
+	// Incremental switches the operator to delta emission: each subtask
+	// diffs its own shard independently.
 	Incremental bool
-	// FrontEnd switches the operator to record ingestion (fed msg.Rec
-	// keyed by object id, flushed by merged source watermarks).
-	FrontEnd bool
-	// Subtask is this instance's index (front-end progress reporting).
+	// Subtask is this instance's index (progress reporting).
 	Subtask int
-	// Stats, when non-nil, receives front-end counters.
+	// Stats, when non-nil, receives the counters.
 	Stats *Stats
 
-	// prev maps object id to its location at the previously processed
-	// tick; allocated on first use. Front-end mode holds only this
-	// shard's objects.
+	// prev maps this shard's object ids to their location at the
+	// previously flushed tick; allocated on first use.
 	prev map[model.ObjectID]geo.Point
 
-	// Front-end state.
 	pending map[model.Tick]*partial
 	// lastFlushed is the highest tick this shard has accounted for:
 	// every tick <= lastFlushed has either been flushed or established
@@ -110,21 +91,14 @@ type Op struct {
 	dirty       *ckpt.DirtyTracker
 }
 
-// New builds a GridAllocate operator for the snapshot path.
-func New(cellWidth, eps float64, mode grid.Mode) *Op {
-	return &Op{CellWidth: cellWidth, Eps: eps, Mode: mode, lastFlushed: noTick}
-}
-
-// NewFrontEnd builds a GridAllocate operator for the partitioned front
-// end: subtask's share of the record stream in, per-shard metas and cell
-// tasks/deltas out.
-func NewFrontEnd(cellWidth, eps float64, mode grid.Mode, incremental bool, subtask int, stats *Stats) *Op {
+// New builds a GridAllocate operator: subtask's share of the record
+// stream in, per-shard metas and cell tasks/deltas out.
+func New(cellWidth, eps float64, mode grid.Mode, incremental bool, subtask int, stats *Stats) *Op {
 	return &Op{
 		CellWidth:   cellWidth,
 		Eps:         eps,
 		Mode:        mode,
 		Incremental: incremental,
-		FrontEnd:    true,
 		Subtask:     subtask,
 		Stats:       stats,
 		pending:     make(map[model.Tick]*partial),
@@ -133,41 +107,12 @@ func NewFrontEnd(cellWidth, eps float64, mode grid.Mode, incremental bool, subta
 	}
 }
 
-// Process splits one snapshot into cell tasks (classic) or cell deltas
-// (incremental); in front-end mode it buffers one raw record under its
-// tick instead.
-func (a *Op) Process(data any, out *flow.Collector) {
-	if a.FrontEnd {
-		a.buffer(data.(msg.Rec))
-		return
-	}
-	s := data.(*model.Snapshot)
-	// The meta message travels to the clustering stage through the range
-	// join (keyed by tick there) so the snapshot's object ids are available.
-	// Objects are copied: downstream stages may live in other processes and
-	// must never share the source snapshot's heap.
-	objs := append([]model.ObjectID(nil), s.Objects...)
-	meta := msg.Meta{Tick: s.Tick, Objects: objs, Ingest: s.Ingest}
-	if !a.Incremental {
-		out.Emit(uint64(s.Tick), meta)
-		for _, task := range join.AllocateSnapshot(s, a.CellWidth, a.Eps, a.Mode) {
-			out.Emit(task.Key.Hash(), msg.Cell{Tick: s.Tick, Task: task})
-		}
-		return
-	}
-	// Incremental: meta rides the constant key so it reaches the single
-	// stateful clustering subtask; deltas stay keyed by cell so the range
-	// join keeps its full parallelism.
-	out.Emit(0, meta)
-	if a.prev == nil {
-		a.prev = make(map[model.ObjectID]geo.Point, s.Len())
-	}
-	for _, delta := range join.DiffSnapshot(a.prev, s, a.CellWidth, a.Eps, a.Mode) {
-		out.Emit(delta.Key.Hash(), msg.CellDelta{Tick: s.Tick, Delta: delta})
-	}
+// Process buffers one raw record under its tick.
+func (a *Op) Process(data any, _ *flow.Collector) {
+	a.buffer(data.(msg.Rec))
 }
 
-// buffer stashes one record under its tick (front-end mode).
+// buffer stashes one record under its tick.
 func (a *Op) buffer(r msg.Rec) {
 	a.dirty.Touch(uint64(r.Object))
 	p := a.pending[r.Tick]
@@ -188,24 +133,18 @@ func (a *Op) buffer(r msg.Rec) {
 // assembler used to compute — now evaluated shard-locally with no
 // materialized snapshot.
 func (a *Op) OnWatermark(wm model.Tick, out *flow.Collector) {
-	if !a.FrontEnd {
-		return
-	}
 	a.flush(wm, out, true)
 }
 
 // Close flushes whatever is still buffered (end of stream). No trailing
 // phantom: ticks beyond the last buffered one never materialized.
 func (a *Op) Close(out *flow.Collector) {
-	if !a.FrontEnd {
-		return
-	}
 	a.flush(model.Tick(1<<62-1), out, false)
 }
 
 // flush releases buffered ticks <= wm in ascending order. In incremental
 // mode a gap in this shard's buffered ticks means the shard went silent
-// while the stream advanced: the oracle snapshot for such a tick omits
+// while the stream advanced: the stream's snapshot for such a tick omits
 // the shard's objects, so the diff must delete them — emitted once as a
 // "phantom" delete-all delta attributed to the first silent tick (see
 // phantomGap). With trailing set, the silent stretch up to wm itself is
@@ -265,8 +204,8 @@ func (a *Op) phantomGap(next model.Tick, out *flow.Collector) {
 		a.Stats.Leaves.Add(int64(len(a.prev)))
 	}
 	// No Meta: the shard contributed no objects to this tick. Downstream
-	// applies meta-less deltas silently, exactly like the oracle, which
-	// never announces this shard's objects for the tick either.
+	// applies meta-less deltas silently; no shard announces this shard's
+	// objects for the tick either.
 	for _, delta := range join.DiffObjects(a.prev, nil, nil, a.CellWidth, a.Eps, a.Mode) {
 		out.Emit(delta.Key.Hash(), msg.CellDelta{Tick: t, Delta: delta})
 	}
@@ -276,8 +215,8 @@ func (a *Op) phantomGap(next model.Tick, out *flow.Collector) {
 // flushTick releases one completed tick of this shard: a partial Meta
 // announcing the shard's (sorted) object ids, then the shard's cell tasks
 // (classic) or cell deltas (incremental). Partial metas and tasks from
-// different shards merge downstream into exactly what the snapshot path
-// would have produced, because key groups partition the object universe.
+// different shards merge downstream into exactly the whole tick's
+// snapshot view, because key groups partition the object universe.
 func (a *Op) flushTick(t model.Tick, p *partial, out *flow.Collector) {
 	sort.Sort(byID{p})
 	meta := msg.Meta{Tick: t, Objects: p.ids, Ingest: p.ingest}

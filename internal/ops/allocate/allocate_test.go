@@ -120,12 +120,12 @@ func sortObjs(os []join.CellObj) []join.CellObj {
 	return os
 }
 
-// runFrontEnd feeds the snapshots as records through a front-end allocate
+// runShards feeds the snapshots as records through a sharded allocate
 // stage at the given parallelism, issuing a source watermark every wmEvery
 // ticks (and once at the end), replaying already-flushed ticks when replay
 // is set. It returns the merged per-(tick, cell) deltas or tasks plus the
 // merged per-tick meta object lists.
-func runFrontEnd(t *testing.T, snaps []*model.Snapshot, par, wmEvery int, incremental, replay bool) (
+func runShards(t *testing.T, snaps []*model.Snapshot, par, wmEvery int, incremental, replay bool) (
 	map[tickKey]*canonDelta, map[tickKey]*canonTask, map[model.Tick][]model.ObjectID) {
 	t.Helper()
 	var (
@@ -169,7 +169,7 @@ func runFrontEnd(t *testing.T, snaps []*model.Snapshot, par, wmEvery int, increm
 	},
 		flow.StageSpec{Name: "allocate", Parallelism: par, OutBatch: 8,
 			Make: func(sub int) flow.Operator {
-				return NewFrontEnd(tLg, tEps, grid.UpperHalf, incremental, sub, stats)
+				return New(tLg, tEps, grid.UpperHalf, incremental, sub, stats)
 			}},
 	)
 	p.Start()
@@ -228,7 +228,7 @@ func TestFrontEndDiffMatchesSnapshotOracle(t *testing.T) {
 		for _, par := range []int{1, 2, 4} {
 			for _, wmEvery := range []int{1, 3} {
 				for _, replay := range []bool{false, true} {
-					got, _, metas := runFrontEnd(t, snaps, par, wmEvery, true, replay)
+					got, _, metas := runShards(t, snaps, par, wmEvery, true, replay)
 					name := fmt.Sprintf("seed=%d par=%d wmEvery=%d replay=%v", seed, par, wmEvery, replay)
 					if len(got) != len(want) {
 						t.Errorf("%s: %d (tick,cell) deltas, oracle has %d", name, len(got), len(want))
@@ -273,7 +273,7 @@ func TestFrontEndAllocateMatchesSnapshotOracle(t *testing.T) {
 
 	for _, par := range []int{1, 3} {
 		for _, wmEvery := range []int{1, 4} {
-			_, got, metas := runFrontEnd(t, snaps, par, wmEvery, false, true)
+			_, got, metas := runShards(t, snaps, par, wmEvery, false, true)
 			name := fmt.Sprintf("par=%d wmEvery=%d", par, wmEvery)
 			if len(got) != len(want) {
 				t.Errorf("%s: %d (tick,cell) tasks, oracle has %d", name, len(got), len(want))
@@ -303,7 +303,7 @@ func TestFrontEndStats(t *testing.T) {
 	p := flow.NewPipeline(flow.Config{Sink: func(any) {}},
 		flow.StageSpec{Name: "allocate", Parallelism: par,
 			Make: func(sub int) flow.Operator {
-				return NewFrontEnd(tLg, tEps, grid.UpperHalf, true, sub, stats)
+				return New(tLg, tEps, grid.UpperHalf, true, sub, stats)
 			}},
 	)
 	p.Start()

@@ -1,16 +1,11 @@
-// Checkpoint state for the allocate operator, in two formats gated by the
-// mode (the mode is part of the job fingerprint, so a blob is never
-// decoded by the wrong one):
-//
-//   - Snapshot path: the incremental previous-position map as a single
-//     count-prefixed blob under key group 0 (classic is stateless).
-//   - Front end: per key group — the group's share of the previous
-//     positions plus its share of the open per-tick record buffers, each
-//     blob prefixed with the subtask's lastFlushed cursor. Groups are the
-//     object id's key groups, so the state reshards with the stage; the
-//     cursor is subtask-scoped, so every blob carries it and a restore
-//     max-merges (a stale cursor from an old delta frame only costs one
-//     self-correcting phantom delete/re-add cycle, never wrong output).
+// Checkpoint state for the allocate operator, per key group: the group's
+// share of the previous positions plus its share of the open per-tick
+// record buffers, each blob prefixed with the subtask's lastFlushed
+// cursor. Groups are the object id's key groups, so the state reshards
+// with the stage; the cursor is subtask-scoped, so every blob carries it
+// and a restore max-merges (a stale cursor from an old delta frame only
+// costs one self-correcting phantom delete/re-add cycle, never wrong
+// output).
 package allocate
 
 import (
@@ -23,9 +18,8 @@ import (
 	"repro/internal/model"
 )
 
-// SnapshotState implements ckpt.Snapshotter for the stateless classic
-// snapshot path. (Keyed state goes through SnapshotGroups, which takes
-// dispatch precedence.)
+// SnapshotState implements ckpt.Snapshotter (no raw-blob state; keyed
+// state goes through SnapshotGroups, which takes dispatch precedence).
 func (a *Op) SnapshotState() ([]byte, error) { return nil, nil }
 
 // RestoreState implements ckpt.Snapshotter (no raw-blob state).
@@ -33,9 +27,6 @@ func (a *Op) RestoreState([]byte) error { return nil }
 
 // SnapshotGroups implements ckpt.GroupSnapshotter.
 func (a *Op) SnapshotGroups(group func(uint64) int) (map[int][]byte, error) {
-	if !a.FrontEnd {
-		return a.snapshotPrevKey0(group)
-	}
 	groups := a.groupSet(group)
 	if len(groups) == 0 {
 		// An empty shard's cursor needs no blob: losing it only skips the
@@ -49,18 +40,13 @@ func (a *Op) SnapshotGroups(group func(uint64) int) (map[int][]byte, error) {
 	return out, nil
 }
 
-// CaptureGroups implements ckpt.DeltaSnapshotter. The snapshot path has a
-// single always-touched group, so a delta cut just re-encodes it; the
-// front end re-encodes the key groups whose records or positions changed,
-// tombstoning dirty groups that emptied. An undirtied group's frame keeps
+// CaptureGroups implements ckpt.DeltaSnapshotter: a delta cut re-encodes
+// the key groups whose records or positions changed, tombstoning dirty
+// groups that emptied. An undirtied group's frame keeps
 // an older lastFlushed, and a fully empty shard persists none at all —
 // both are safe, because a stale restored cursor only triggers the
 // self-correcting phantom delete/re-add cycle (see flush).
 func (a *Op) CaptureGroups(group func(uint64) int, id, base uint64, delta bool) (map[int][]byte, []int, error) {
-	if !a.FrontEnd {
-		frames, err := a.snapshotPrevKey0(group)
-		return frames, nil, err
-	}
 	dirty := a.dirty.Capture(group, id, base, delta)
 	if !delta {
 		frames, err := a.SnapshotGroups(group)
@@ -83,9 +69,6 @@ func (a *Op) CaptureGroups(group func(uint64) int, id, base uint64, delta bool) 
 // merged into the operator (groups are disjoint, so entries never
 // collide; the cursor max-merges).
 func (a *Op) RestoreGroup(data []byte) error {
-	if !a.FrontEnd {
-		return a.restorePrevKey0(data)
-	}
 	d := flow.NewDec(data)
 	if lf := model.Tick(d.Varint()); lf > a.lastFlushed {
 		a.lastFlushed = lf
@@ -137,7 +120,7 @@ func (a *Op) RestoreGroup(data []byte) error {
 	return d.Err()
 }
 
-// groupSet returns the key groups that currently hold front-end state.
+// groupSet returns the key groups that currently hold state.
 func (a *Op) groupSet(group func(uint64) int) map[int]struct{} {
 	groups := make(map[int]struct{})
 	for id := range a.prev {
@@ -151,7 +134,7 @@ func (a *Op) groupSet(group func(uint64) int) map[int]struct{} {
 	return groups
 }
 
-// encodeGroup serializes one key group's share of the front-end state.
+// encodeGroup serializes one key group's share of the state.
 func (a *Op) encodeGroup(g int, group func(uint64) int) []byte {
 	buf := binary.AppendVarint(nil, int64(a.lastFlushed))
 
@@ -207,43 +190,4 @@ func (a *Op) encodeGroup(g int, group func(uint64) int) []byte {
 		}
 	}
 	return buf
-}
-
-// snapshotPrevKey0 is the snapshot-path encoding: the previous-tick
-// positions, bucketed under the key-0 group the snapshots route by.
-func (a *Op) snapshotPrevKey0(group func(uint64) int) (map[int][]byte, error) {
-	if len(a.prev) == 0 {
-		return nil, nil
-	}
-	ids := make([]model.ObjectID, 0, len(a.prev))
-	for id := range a.prev {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	buf := binary.AppendUvarint(nil, uint64(len(ids)))
-	for _, id := range ids {
-		loc := a.prev[id]
-		buf = binary.AppendUvarint(buf, uint64(id))
-		buf = flow.AppendFloat64(buf, loc.X)
-		buf = flow.AppendFloat64(buf, loc.Y)
-	}
-	return map[int][]byte{group(0): buf}, nil
-}
-
-// restorePrevKey0 decodes the snapshot-path format.
-func (a *Op) restorePrevKey0(data []byte) error {
-	d := flow.NewDec(data)
-	n := int(d.Uvarint())
-	if n < 0 || n > d.Remaining()/17 { // id varint + two floats per entry
-		d.Failf("allocate: position count %d exceeds payload", n)
-		return d.Err()
-	}
-	if a.prev == nil {
-		a.prev = make(map[model.ObjectID]geo.Point, n)
-	}
-	for i := 0; i < n && d.Err() == nil; i++ {
-		id := model.ObjectID(d.Uvarint())
-		a.prev[id] = geo.Point{X: d.Float64(), Y: d.Float64()}
-	}
-	return d.Err()
 }

@@ -37,19 +37,16 @@ type Config struct {
 	// structure across ticks instead of rerunning DBSCAN per snapshot.
 	// Requires all input routed to one subtask (constant key).
 	Incremental bool
-	// FrontEnd marks partitioned-front-end input: msg.Meta announcements
-	// arrive as per-shard partials (sorted, disjoint id lists) and merge
-	// into the tick's object view, and classic-mode pairs carry object
-	// ids instead of snapshot positions, translated at finalize.
-	FrontEnd bool
 	// OnCluster, when set, observes each tick's finished cluster snapshot
 	// (latency and cluster-size metrics).
 	OnCluster func(model.Tick, *model.ClusterSnapshot)
 }
 
 // tickBuf accumulates one tick's inputs until the watermark covers it. The
-// snapshot view is reassembled from the msg.Meta announcement (object ids +
-// ingest instant) — no pointer into an upstream stage's heap survives here.
+// snapshot view is reassembled from the per-shard msg.Meta announcements
+// (sorted, disjoint object id lists + ingest instant) — no pointer into an
+// upstream stage's heap survives here. Classic-mode pairs carry object
+// ids, translated to positions in the merged list at finalize.
 type tickBuf struct {
 	hasMeta bool
 	objects []model.ObjectID
@@ -105,14 +102,7 @@ func (d *Op) Process(data any, out *flow.Collector) {
 	switch m := data.(type) {
 	case msg.Meta:
 		d.touch(m.Tick)
-		b := d.buf(m.Tick)
-		if d.cfg.FrontEnd {
-			b.mergeMeta(m)
-			return
-		}
-		b.hasMeta = true
-		b.objects = m.Objects
-		b.ingest = m.Ingest
+		d.buf(m.Tick).mergeMeta(m)
 	case msg.Pairs:
 		d.touch(m.Tick)
 		b := d.buf(m.Tick)
@@ -241,18 +231,15 @@ func (d *Op) applyNet(t model.Tick, b *tickBuf) {
 
 func (d *Op) finalize(t model.Tick, b *tickBuf, out *flow.Collector) {
 	snap := &model.Snapshot{Tick: t, Objects: b.objects, Ingest: b.ingest}
-	pairs := b.pairs
-	if d.cfg.FrontEnd {
-		pairs = translatePairs(t, b.objects, pairs)
-	}
+	pairs := translatePairs(t, b.objects, b.pairs)
 	d.emit(t, snap, d.cl.FromPairs(snap.Len(), pairs, d.cfg.MinPts), out)
 }
 
 // mergeMeta folds one per-shard partial announcement into the tick's
 // object view. Shard lists are sorted and disjoint (key groups partition
 // the id space), so a single merge pass reproduces the id-sorted object
-// list the snapshot path announces in one piece; the ingest instant is
-// the earliest non-zero one, matching the assembled snapshot's minimum.
+// list of the whole tick; the ingest instant is the earliest non-zero
+// one.
 func (b *tickBuf) mergeMeta(m msg.Meta) {
 	b.hasMeta = true
 	if b.ingest.IsZero() || (!m.Ingest.IsZero() && m.Ingest.Before(b.ingest)) {
@@ -278,8 +265,8 @@ func (b *tickBuf) mergeMeta(m msg.Meta) {
 	b.objects = merged
 }
 
-// translatePairs rewrites front-end id-pairs into positions in the
-// tick's merged (id-sorted) object list — the coordinate system
+// translatePairs rewrites id-pairs into positions in the tick's merged
+// (id-sorted) object list — the coordinate system
 // dbscan.FromPairs and the cluster snapshot use. Rewrites in place; the
 // buffer is released right after. Every pair endpoint was announced by
 // its shard's partial meta, so a missing id means the streams

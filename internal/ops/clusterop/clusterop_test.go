@@ -24,6 +24,7 @@ func runOp(t *testing.T, op *Op, feed func(p *flow.Pipeline)) []any {
 	return got
 }
 
+// metaOf announces a tick's objects; pairs name objects by id.
 func metaOf(tick model.Tick, ids ...model.ObjectID) msg.Meta {
 	return msg.Meta{Tick: tick, Objects: ids}
 }
@@ -40,7 +41,7 @@ func TestWatermarkDropsMetalessTicks(t *testing.T) {
 		p.SubmitWatermark(50)
 		// A later, complete tick still works.
 		p.Submit(61, metaOf(61, 7, 8, 9))
-		p.Submit(61, msg.Pairs{Tick: 61, Pairs: [][2]int32{{0, 1}, {0, 2}, {1, 2}}})
+		p.Submit(61, msg.Pairs{Tick: 61, Pairs: [][2]int32{{7, 8}, {7, 9}, {8, 9}}})
 		p.SubmitWatermark(61)
 	})
 	if n := op.Buffered(); n != 0 {
@@ -54,7 +55,7 @@ func TestCompleteTickFinalized(t *testing.T) {
 	op := New(Config{MinPts: 3, GroupMin: 3, Enumerate: true})
 	got := runOp(t, op, func(p *flow.Pipeline) {
 		p.Submit(5, metaOf(5, 10, 11, 12))
-		p.Submit(5, msg.Pairs{Tick: 5, Pairs: [][2]int32{{0, 1}, {0, 2}, {1, 2}}})
+		p.Submit(5, msg.Pairs{Tick: 5, Pairs: [][2]int32{{10, 11}, {10, 12}, {11, 12}}})
 		p.SubmitWatermark(5)
 	})
 	if len(got) == 0 {

@@ -9,8 +9,8 @@
 // serialized with the codecs in codec.go and shipped to subtasks in other
 // OS processes. The clustering stage reassembles the per-tick object view
 // it needs from Meta and Pairs records instead of dereferencing a shared
-// pointer; behind the partitioned front end that view is merged from the
-// per-shard partial Metas each allocate subtask emits.
+// pointer: that view is merged from the per-shard partial Metas each
+// allocate subtask emits.
 package msg
 
 import (
@@ -21,8 +21,8 @@ import (
 	"repro/internal/model"
 )
 
-// Rec is one discretized trajectory record on the ingestion edges of a
-// partitioned-source topology. The driver (or a network front-end) submits
+// Rec is one discretized trajectory record on the ingestion edges. The
+// driver (or a network front-end) submits
 // it keyed by object id, which routes it to the source partition owning
 // that object's key group; the partition tracks last-time markers and
 // coverage internally (stream.Partition) and re-emits released records
@@ -46,13 +46,11 @@ type Cell struct {
 }
 
 // Meta announces one tick's object population to the clustering stage
-// (GridSync input), keyed by tick: object ids in location order plus the
-// ingest instant. Join pairs reference locations by index; Meta is what
-// maps those indices back to object ids downstream. On the snapshot path
-// a single Meta carries the whole tick; behind the partitioned front end
-// each allocate subtask emits a partial Meta covering only its own
-// objects (indexed by object id, sorted ascending) and the clustering
-// stage merges the disjoint partials.
+// (GridSync input), keyed by tick: object ids plus the ingest instant. Each
+// allocate subtask emits a partial Meta covering only its own objects
+// (sorted ascending), and the clustering stage merges the disjoint
+// partials into the tick's object list, which join pairs (naming objects
+// by id) are translated into positions of.
 type Meta struct {
 	Tick    model.Tick
 	Objects []model.ObjectID

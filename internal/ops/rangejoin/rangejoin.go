@@ -2,11 +2,10 @@
 // per-cell range join. Cell tasks arrive keyed by grid cell; qualifying
 // pairs leave as msg.Pairs keyed by tick, so the clustering stage can
 // reassemble each tick's full pair set. msg.Meta announcements pass
-// through unchanged, re-keyed by tick — behind the partitioned front end
-// those are per-shard partials the clustering stage merges, and cell
-// tasks/deltas for one cell may arrive split across allocate shards, so
-// the operator buffers and merges them per (tick, cell) until the
-// watermark closes the tick.
+// through unchanged, re-keyed by tick: they are per-shard partials the
+// clustering stage merges. Cell tasks/deltas for one cell arrive split
+// across allocate shards, so the operator buffers and merges them per
+// (tick, cell) until the watermark closes the tick.
 //
 // In incremental mode the operator is stateful: each grid cell keeps a
 // persistent join.IncCell (data + query indexes) that msg.CellDelta
@@ -17,7 +16,6 @@
 package rangejoin
 
 import (
-	"encoding/binary"
 	"slices"
 
 	"repro/internal/ckpt"
@@ -46,8 +44,9 @@ const (
 	SRJ
 )
 
-// Op is the GridQuery operator; one instance per subtask. Classic mode
-// is stateless; incremental mode holds the persistent cell indexes.
+// Op is the GridQuery operator; one instance per subtask. It holds the
+// per-(tick, cell) partials buffered ahead of the watermark, and in
+// incremental mode the persistent cell indexes.
 type Op struct {
 	flow.BaseOperator
 	// Eps is the join distance threshold.
@@ -59,25 +58,18 @@ type Op struct {
 	// Incremental switches the operator to delta maintenance (requires
 	// the RJC kernel: ownership accounting relies on Lemma 1/2 claims).
 	Incremental bool
-	// FrontEnd switches the operator to partitioned-front-end buffering:
-	// cell tasks/deltas arrive as per-shard partials and are merged per
-	// (tick, cell), then joined/applied in tick order once the merged
-	// watermark confirms the tick complete. Without it, a task is
-	// self-contained and a delta stream is globally tick-ordered, so both
-	// process immediately.
-	FrontEnd bool
 
 	// cells holds this subtask's persistent per-cell state (incremental
 	// mode); empty cells are dropped.
 	cells map[grid.Key]*join.IncCell
-	// pendTasks/pendDeltas buffer front-end partials per (tick, cell)
+	// pendTasks/pendDeltas buffer per-shard partials per (tick, cell)
 	// until the watermark passes the tick; checkpointed with the cells.
 	pendTasks  map[model.Tick]map[grid.Key]*join.CellTask
 	pendDeltas map[model.Tick]map[grid.Key]*join.CellDelta
 	// dirty tracks touched cell-key hashes (the routing key) for
 	// incremental checkpoints.
 	dirty *ckpt.DirtyTracker
-	// scratch buffers are reused across Process calls so the steady
+	// scratch buffers are reused across tasks and deltas so the steady
 	// state emits without per-cell slice growth. Pair transitions are
 	// collected packed (hi<<32|lo) so sorting and netting run on plain
 	// uint64s.
@@ -91,40 +83,31 @@ func New(eps float64, metric geo.Metric, kernel Kernel) *Op {
 	return &Op{Eps: eps, Metric: metric, Kernel: kernel, dirty: ckpt.NewDirtyTracker()}
 }
 
-// SnapshotState implements ckpt.Snapshotter for classic mode (stateless).
+// SnapshotState implements ckpt.Snapshotter (no raw-blob state; keyed
+// state goes through SnapshotGroups).
 func (g *Op) SnapshotState() ([]byte, error) { return nil, nil }
 
-// RestoreState implements ckpt.Snapshotter (no classic-mode state).
+// RestoreState implements ckpt.Snapshotter (no raw-blob state).
 func (g *Op) RestoreState([]byte) error { return nil }
 
-// SnapshotGroups implements ckpt.GroupSnapshotter: every cell state is
-// bucketed under the group of the key hash its deltas route by, cells
-// encoded in ascending key order for deterministic bytes. In front-end
-// mode the group blob also carries the group's pending (tick, cell)
-// partials — tasks or deltas buffered ahead of the watermark — in a
-// format gated by the FrontEnd flag (the flag follows SourcePartitions,
-// which is part of the job fingerprint, so blobs never cross modes).
+// SnapshotGroups implements ckpt.GroupSnapshotter: every cell state and
+// pending (tick, cell) partial is bucketed under the group of the cell key
+// hash its tasks and deltas route by (see state.go for the format).
 func (g *Op) SnapshotGroups(group func(uint64) int) (map[int][]byte, error) {
-	if g.FrontEnd {
-		groups := g.frontEndGroups(group)
-		if len(groups) == 0 {
-			return nil, nil
-		}
-		out := make(map[int][]byte, len(groups))
-		for grp := range groups {
-			out[grp] = g.encodeFrontEndGroup(grp, group)
-		}
-		return out, nil
-	}
-	if len(g.cells) == 0 {
+	groups := g.groupSet(group)
+	if len(groups) == 0 {
 		return nil, nil
 	}
-	return g.encodeCells(group, func(int) bool { return true }), nil
+	out := make(map[int][]byte, len(groups))
+	for grp := range groups {
+		out[grp] = g.encodeGroup(grp, group)
+	}
+	return out, nil
 }
 
-// frontEndGroups returns the key groups currently holding cell state or
+// groupSet returns the key groups currently holding cell state or
 // pending partials.
-func (g *Op) frontEndGroups(group func(uint64) int) map[int]struct{} {
+func (g *Op) groupSet(group func(uint64) int) map[int]struct{} {
 	groups := make(map[int]struct{})
 	for k := range g.cells {
 		groups[group(k.Hash())] = struct{}{}
@@ -144,10 +127,9 @@ func (g *Op) frontEndGroups(group func(uint64) int) map[int]struct{} {
 
 // CaptureGroups implements ckpt.DeltaSnapshotter: a full cut delegates to
 // SnapshotGroups; a delta cut re-encodes only the key groups holding a
-// cell touched by a msg.CellDelta since the base, tombstoning dirty
-// groups whose cells have all emptied. This is the operator the paper's
-// incremental pipeline keeps its bulk state in — cell indexes dominate
-// checkpoint bytes — so skipping clean groups is what shrinks a cut.
+// cell or partial touched since the base, tombstoning dirty groups that
+// have emptied. In the incremental pipeline cell indexes dominate
+// checkpoint bytes, so skipping clean groups is what shrinks a cut.
 func (g *Op) CaptureGroups(group func(uint64) int, id, base uint64, delta bool) (map[int][]byte, []int, error) {
 	dirty := g.dirty.Capture(group, id, base, delta)
 	if !delta {
@@ -157,112 +139,20 @@ func (g *Op) CaptureGroups(group func(uint64) int, id, base uint64, delta bool) 
 	if len(dirty) == 0 {
 		return nil, nil, nil
 	}
-	if g.FrontEnd {
-		groups := g.frontEndGroups(group)
-		frames := make(map[int][]byte, len(dirty))
-		var dropped []int
-		for grp := range dirty {
-			if _, has := groups[grp]; !has {
-				dropped = append(dropped, grp)
-				continue
-			}
-			frames[grp] = g.encodeFrontEndGroup(grp, group)
-		}
-		return frames, dropped, nil
-	}
-	frames := g.encodeCells(group, func(grp int) bool { return dirty[grp] })
+	groups := g.groupSet(group)
+	frames := make(map[int][]byte, len(dirty))
 	var dropped []int
 	for grp := range dirty {
-		if _, ok := frames[grp]; !ok {
+		if _, has := groups[grp]; !has {
 			dropped = append(dropped, grp)
+			continue
 		}
+		frames[grp] = g.encodeGroup(grp, group)
 	}
 	return frames, dropped, nil
 }
 
-// encodeCells serializes the cell states of every key group want admits,
-// cells in ascending key order for deterministic bytes.
-func (g *Op) encodeCells(group func(uint64) int, want func(int) bool) map[int][]byte {
-	keys := make([]grid.Key, 0, len(g.cells))
-	for k := range g.cells {
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, func(a, b grid.Key) int {
-		if a.X != b.X {
-			return int(a.X) - int(b.X)
-		}
-		return int(a.Y) - int(b.Y)
-	})
-	out := make(map[int][]byte)
-	for _, k := range keys {
-		grp := group(k.Hash())
-		if !want(grp) {
-			continue
-		}
-		c := g.cells[k]
-		buf := out[grp]
-		buf = binary.AppendVarint(buf, int64(k.X))
-		buf = binary.AppendVarint(buf, int64(k.Y))
-		buf = appendEntries(buf, c.Idx.Entries(false))
-		buf = appendEntries(buf, c.Idx.Entries(true))
-		out[grp] = buf
-	}
-	return out
-}
-
-func appendEntries(buf []byte, os []join.IDLoc) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(os)))
-	for _, o := range os {
-		buf = binary.AppendUvarint(buf, uint64(o.ID))
-		buf = flow.AppendFloat64(buf, o.Loc.X)
-		buf = flow.AppendFloat64(buf, o.Loc.Y)
-	}
-	return buf
-}
-
-// RestoreGroup implements ckpt.GroupSnapshotter: one group blob holds a
-// sequence of cell frames; restore may be called once per group.
-func (g *Op) RestoreGroup(data []byte) error {
-	if g.FrontEnd {
-		return g.restoreFrontEndGroup(data)
-	}
-	d := flow.NewDec(data)
-	if g.cells == nil {
-		g.cells = make(map[grid.Key]*join.IncCell)
-	}
-	for d.Remaining() > 0 && d.Err() == nil {
-		k := grid.Key{X: int32(d.Varint()), Y: int32(d.Varint())}
-		c := join.NewIncCell(g.Eps)
-		if err := restoreEntries(d, c.Idx, false); err != nil {
-			return err
-		}
-		if err := restoreEntries(d, c.Idx, true); err != nil {
-			return err
-		}
-		if d.Err() == nil {
-			g.cells[k] = c
-		}
-	}
-	return d.Err()
-}
-
-func restoreEntries(d *flow.Dec, x *join.CellIndex, query bool) error {
-	n := int(d.Uvarint())
-	if n < 0 || n > d.Remaining()/17 { // id varint + two floats per entry
-		d.Failf("rangejoin: cell entry count %d exceeds payload", n)
-		return d.Err()
-	}
-	for i := 0; i < n && d.Err() == nil; i++ {
-		id := model.ObjectID(d.Uvarint())
-		loc := geo.Point{X: d.Float64(), Y: d.Float64()}
-		if d.Err() == nil {
-			x.Insert(id, loc, query)
-		}
-	}
-	return d.Err()
-}
-
-// Process joins one cell task or applies one cell delta (or forwards a
+// Process buffers one partial cell task or cell delta (or forwards a
 // snapshot announcement).
 func (g *Op) Process(data any, out *flow.Collector) {
 	switch m := data.(type) {
@@ -274,17 +164,9 @@ func (g *Op) Process(data any, out *flow.Collector) {
 			out.Emit(uint64(m.Tick), m) // pass through to the clustering stage
 		}
 	case msg.Cell:
-		if g.FrontEnd {
-			g.bufferTask(m)
-			return
-		}
-		g.runTask(&m.Task, m.Tick, out)
+		g.bufferTask(m)
 	case msg.CellDelta:
-		if g.FrontEnd {
-			g.bufferDelta(m)
-			return
-		}
-		g.applyDelta(&m.Delta, m.Tick, out)
+		g.bufferDelta(m)
 	}
 }
 
@@ -398,22 +280,16 @@ func (g *Op) bufferDelta(m msg.CellDelta) {
 	d.QueryAdd = append(d.QueryAdd, m.Delta.QueryAdd...)
 }
 
-// OnWatermark releases every buffered front-end tick the merged watermark
-// has passed: all allocate subtasks have flushed their share of those
-// ticks (operator emissions precede the forwarded watermark on every
-// edge), so the merged tasks/deltas are complete.
+// OnWatermark releases every buffered tick the merged watermark has
+// passed: all allocate subtasks have flushed their share of those ticks
+// (operator emissions precede the forwarded watermark on every edge), so
+// the merged tasks/deltas are complete.
 func (g *Op) OnWatermark(wm model.Tick, out *flow.Collector) {
-	if !g.FrontEnd {
-		return
-	}
 	g.release(wm, out)
 }
 
 // Close releases everything still buffered (end of stream).
 func (g *Op) Close(out *flow.Collector) {
-	if !g.FrontEnd {
-		return
-	}
 	g.release(model.Tick(1<<62-1), out)
 }
 
@@ -460,19 +336,14 @@ func sortedKeys[V any](cells map[grid.Key]V) []grid.Key {
 	for k := range cells {
 		keys = append(keys, k)
 	}
-	slices.SortFunc(keys, func(a, b grid.Key) int {
-		if a.X != b.X {
-			return int(a.X) - int(b.X)
-		}
-		return int(a.Y) - int(b.Y)
-	})
+	sortGridKeys(keys)
 	return keys
 }
 
 // sortCellObjs orders merged cell objects by object id (Idx carries the
-// id in front-end mode; unsigned compare keeps huge ids ordered), the
-// same order a snapshot-path task lists them in — so the kernels see the
-// exact oracle task.
+// id; unsigned compare keeps huge ids ordered), the order a task built
+// from the whole snapshot would list them in — so the kernels see the
+// same task whatever the shard split.
 func sortCellObjs(os []join.CellObj) {
 	slices.SortFunc(os, func(a, b join.CellObj) int {
 		ua, ub := uint32(a.Idx), uint32(b.Idx)

@@ -1,10 +1,8 @@
-// Front-end checkpoint codec: one key group's share of the persistent
-// cell indexes plus the pending (tick, cell) partials buffered ahead of
-// the merged watermark. Unlike the snapshot-path format (a bare sequence
-// of cell frames), this one is count-prefixed throughout because a blob
-// holds three sections: cells, pending classic tasks, pending deltas.
-// Everything is sorted (ticks ascending, cells in key order, object lists
-// by id) for deterministic bytes.
+// Checkpoint codec: one key group's share of the persistent cell indexes
+// plus the pending (tick, cell) partials buffered ahead of the merged
+// watermark. A blob holds three count-prefixed sections: cells, pending
+// classic tasks, pending deltas. Everything is sorted (ticks ascending,
+// cells in key order, object lists by id) for deterministic bytes.
 package rangejoin
 
 import (
@@ -18,8 +16,8 @@ import (
 	"repro/internal/model"
 )
 
-// encodeFrontEndGroup serializes one key group's front-end state.
-func (g *Op) encodeFrontEndGroup(grp int, group func(uint64) int) []byte {
+// encodeGroup serializes one key group's state.
+func (g *Op) encodeGroup(grp int, group func(uint64) int) []byte {
 	inGroup := func(k grid.Key) bool { return group(k.Hash()) == grp }
 
 	var cellKeys []grid.Key
@@ -83,10 +81,10 @@ func encodePendSection[V any](buf []byte, pend map[model.Tick]map[grid.Key]*V,
 	return buf
 }
 
-// restoreFrontEndGroup merges one key group's front-end state into the
-// operator (groups are disjoint, so cells and pending entries never
-// collide across calls).
-func (g *Op) restoreFrontEndGroup(data []byte) error {
+// RestoreGroup implements ckpt.GroupSnapshotter: one key group's state is
+// merged into the operator (groups are disjoint, so cells and pending
+// entries never collide across calls).
+func (g *Op) RestoreGroup(data []byte) error {
 	d := flow.NewDec(data)
 	n := int(d.Uvarint())
 	if n < 0 || n > d.Remaining() {
@@ -169,6 +167,32 @@ func (g *Op) restoreFrontEndGroup(data []byte) error {
 				g.pendDeltas[t] = make(map[grid.Key]*join.CellDelta)
 			}
 			g.pendDeltas[t][k] = delta
+		}
+	}
+	return d.Err()
+}
+
+func appendEntries(buf []byte, os []join.IDLoc) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(os)))
+	for _, o := range os {
+		buf = binary.AppendUvarint(buf, uint64(o.ID))
+		buf = flow.AppendFloat64(buf, o.Loc.X)
+		buf = flow.AppendFloat64(buf, o.Loc.Y)
+	}
+	return buf
+}
+
+func restoreEntries(d *flow.Dec, x *join.CellIndex, query bool) error {
+	n := int(d.Uvarint())
+	if n < 0 || n > d.Remaining()/17 { // id varint + two floats per entry
+		d.Failf("rangejoin: cell entry count %d exceeds payload", n)
+		return d.Err()
+	}
+	for i := 0; i < n && d.Err() == nil; i++ {
+		id := model.ObjectID(d.Uvarint())
+		loc := geo.Point{X: d.Float64(), Y: d.Float64()}
+		if d.Err() == nil {
+			x.Insert(id, loc, query)
 		}
 	}
 	return d.Err()

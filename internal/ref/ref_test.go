@@ -1,4 +1,4 @@
-package cluster
+package ref
 
 import (
 	"math/rand"

@@ -1,11 +1,11 @@
 // Partition-local ingestion: the per-shard front of a partitioned source
 // layer. Each source partition owns a disjoint shard of object ids (routed
 // by the same key groups the exchanges use), runs its own last-time tracker
-// and a shard-scoped Assembler, and releases per-tick partial snapshots in
+// and a shard-scoped assembler, and releases per-tick partial snapshots in
 // strictly increasing tick order — the partition's coverage watermark. The
-// merged (minimum) watermark across partitions is then exactly the global
-// Assembler's release condition: snapshot t is complete once every
-// partition has released its shard of t.
+// merged (minimum) watermark across partitions is then exactly the release
+// condition of one assembler over all objects: snapshot t is complete once
+// every partition has released its shard of t.
 package stream
 
 import (
@@ -33,14 +33,14 @@ func PartitionFor(obj model.ObjectID, maxParallelism, partitions int) int {
 // safe for concurrent use; the flow runtime serializes each subtask.
 type Partition struct {
 	last map[model.ObjectID]model.Tick
-	asm  *Assembler
+	asm  *assembler
 	buf  []*model.Snapshot
 }
 
 // NewPartition builds an empty partition front with the given out-of-order
 // slack and silence timeout (<= 0 uses DefaultSilenceTimeout).
 func NewPartition(slack, silence model.Tick) *Partition {
-	a := NewAssembler()
+	a := newAssembler()
 	if slack > 0 {
 		a.Slack = slack
 	}
@@ -50,16 +50,11 @@ func NewPartition(slack, silence model.Tick) *Partition {
 	return &Partition{last: make(map[model.ObjectID]model.Tick), asm: a}
 }
 
-// ResumeAt positions the partition at a checkpoint cut (see
-// Assembler.ResumeAt). Restored state normally carries the cut implicitly;
-// this is for fronts rebuilt without operator state.
-func (p *Partition) ResumeAt(next model.Tick) { p.asm.ResumeAt(next) }
-
 // Push ingests one raw record of this shard and returns the partial
 // snapshots (this shard's objects only, sorted by id) that became
 // releasable, in strictly increasing tick order. Duplicate ticks per object
 // and out-of-order records below the object's last tick are dropped — the
-// same per-object rule the global assembler applies, and the property that
+// same per-object rule for every shard, and the property that
 // makes replaying a stream after recovery idempotent. The returned slice is
 // reused by the next Push.
 func (p *Partition) Push(obj model.ObjectID, loc geo.Point, tick model.Tick, ingest time.Time) []*model.Snapshot {
@@ -86,7 +81,7 @@ func (p *Partition) Push(obj model.ObjectID, loc geo.Point, tick model.Tick, ing
 func (p *Partition) Flush() []*model.Snapshot { return p.asm.FlushAll(nil) }
 
 // ReleaseThrough force-releases the shard's pending partials up to wm (see
-// Assembler.ReleaseThrough): the driver promises no further records with
+// assembler.ReleaseThrough): the driver promises no further records with
 // tick <= wm will reach this partition. This is what keeps an empty or
 // silent shard from stalling the merged coverage watermark.
 func (p *Partition) ReleaseThrough(wm model.Tick) []*model.Snapshot {
@@ -252,8 +247,3 @@ func decodeInstant(d *flow.Dec) time.Time {
 	}
 	return time.Unix(0, d.Varint())
 }
-
-// SortSnapshot orders a snapshot's objects by id in place — the canonical
-// form every path that materializes snapshots (the global Assembler, the
-// partitioned assemble stage) must agree on for downstream determinism.
-func SortSnapshot(s *model.Snapshot) { sortSnapshot(s) }

@@ -1,20 +1,22 @@
 // Package stream implements the ingestion side of ICPE (Section 4): time
-// discretization of raw GPS records and out-of-order snapshot assembly
-// driven by per-record "last time" markers.
+// discretization of raw GPS records and the per-partition, out-of-order
+// snapshot assembly driven by per-record "last time" markers.
 //
 // # Discretization
 //
 // Wall-clock timestamps are mapped to tick indices of fixed-width
 // intervals: tick = floor((t - origin) / interval). When an object reports
 // several records within one interval, the first one wins (the paper warns
-// that the interval must be chosen to match the sampling rate).
+// that the interval must be chosen to match the sampling rate); the source
+// Partition drops the rest.
 //
 // # Last-time synchronization
 //
 // Flink-style pipelines do not guarantee arrival order, but pattern
-// detection requires snapshots in ascending tick order. Every discretized
-// record carries the tick of the previous snapshot its object reported
-// (Section 4), giving the assembler per-object coverage evidence:
+// detection requires snapshots in ascending tick order. Every record a
+// Partition accepts is stamped with the tick of the previous snapshot its
+// object reported (Section 4), giving the assembler per-object coverage
+// evidence:
 //
 //   - a record of object X at tick t says X reported at t;
 //   - a record of X at tick t' > t with LastTick < t proves X skipped t;
@@ -38,13 +40,11 @@ import (
 	"repro/internal/model"
 )
 
-// Discretizer maps wall-clock records into tick-stamped records and
-// maintains each object's last-reported tick. It is not safe for concurrent
-// use; the pipeline runs one discretizer per source.
+// Discretizer maps wall-clock times to ticks. It is stateless, so one
+// value may be shared by concurrent feeders.
 type Discretizer struct {
 	origin   time.Time
 	interval time.Duration
-	last     map[model.ObjectID]model.Tick
 }
 
 // NewDiscretizer returns a discretizer with the given interval duration.
@@ -52,40 +52,12 @@ func NewDiscretizer(origin time.Time, interval time.Duration) *Discretizer {
 	if interval <= 0 {
 		panic("stream: discretization interval must be positive")
 	}
-	return &Discretizer{
-		origin:   origin,
-		interval: interval,
-		last:     make(map[model.ObjectID]model.Tick),
-	}
+	return &Discretizer{origin: origin, interval: interval}
 }
 
 // Tick returns the tick index for a wall-clock time.
 func (d *Discretizer) Tick(t time.Time) model.Tick {
 	return model.Tick(t.Sub(d.origin) / d.interval)
-}
-
-// Discretize converts one raw record. It returns false when the record
-// falls into a tick the object has already reported (duplicate within an
-// interval) or into the past (out-of-order beyond a tick boundary), in
-// which case it must be dropped — co-movement semantics require one
-// location per object per tick.
-func (d *Discretizer) Discretize(r model.Record, ingest time.Time) (model.StampedRecord, bool) {
-	tick := d.Tick(r.Time)
-	lastTick, seen := d.last[r.Object]
-	if seen && tick <= lastTick {
-		return model.StampedRecord{}, false
-	}
-	if !seen {
-		lastTick = model.NoLastTime
-	}
-	d.last[r.Object] = tick
-	return model.StampedRecord{
-		Object:   r.Object,
-		Loc:      r.Loc,
-		Tick:     tick,
-		LastTick: lastTick,
-		Ingest:   ingest,
-	}, true
 }
 
 // DefaultSilenceTimeout is how many ticks an object may stay silent before
@@ -102,9 +74,10 @@ type objState struct {
 	frontier model.Tick
 }
 
-// Assembler buffers stamped records arriving in arbitrary order and
-// releases complete snapshots in strictly increasing tick order.
-type Assembler struct {
+// assembler buffers stamped records arriving in arbitrary order and
+// releases complete snapshots in strictly increasing tick order. Each
+// Partition runs one over its shard.
+type assembler struct {
 	// Slack delays the release of snapshot t until a record with tick
 	// > t + Slack has been seen, absorbing late first records of unknown
 	// objects (watermark-style bounded out-of-orderness). Zero by default.
@@ -122,35 +95,18 @@ type Assembler struct {
 	released bool
 }
 
-// NewAssembler returns an empty assembler with default settings.
-func NewAssembler() *Assembler {
-	return &Assembler{
+// newAssembler returns an empty assembler with default settings.
+func newAssembler() *assembler {
+	return &assembler{
 		SilenceTimeout: DefaultSilenceTimeout,
 		pending:        make(map[model.Tick]*model.Snapshot),
 		objects:        make(map[model.ObjectID]*objState),
 	}
 }
 
-// ResumeAt positions the assembler at a checkpoint cut: ticks below next
-// are treated as already released, so records replayed from before the cut
-// (e.g. a publisher re-sending its stream after a crash recovery) are
-// dropped instead of being re-assembled into duplicate snapshots. Call
-// before the first Push.
-func (a *Assembler) ResumeAt(next model.Tick) {
-	if a.started {
-		panic("stream: ResumeAt after records were pushed")
-	}
-	a.started = true
-	a.released = true
-	a.nextTick = next
-	if next > 0 {
-		a.maxSeen = next - 1
-	}
-}
-
 // Push ingests one stamped record and appends any snapshots that became
 // complete, in tick order, to out. It returns the extended slice.
-func (a *Assembler) Push(r model.StampedRecord, out []*model.Snapshot) []*model.Snapshot {
+func (a *assembler) Push(r model.StampedRecord, out []*model.Snapshot) []*model.Snapshot {
 	if !a.started {
 		a.nextTick = r.Tick
 		a.started = true
@@ -198,7 +154,7 @@ func (a *Assembler) Push(r model.StampedRecord, out []*model.Snapshot) []*model.
 // record at t arrived, or a later arrived record's LastTick proves the
 // object skipped t, or the object has been silent long enough to be
 // considered departed.
-func (a *Assembler) covers(st *objState, t model.Tick) bool {
+func (a *assembler) covers(st *objState, t model.Tick) bool {
 	i := sort.Search(len(st.ticks), func(i int) bool { return st.ticks[i] >= t })
 	if i < len(st.ticks) {
 		if st.ticks[i] == t {
@@ -214,7 +170,7 @@ func (a *Assembler) covers(st *objState, t model.Tick) bool {
 }
 
 // release emits all leading complete snapshots.
-func (a *Assembler) release(out []*model.Snapshot) []*model.Snapshot {
+func (a *assembler) release(out []*model.Snapshot) []*model.Snapshot {
 	for a.nextTick+a.Slack < a.maxSeen {
 		t := a.nextTick
 		complete := true
@@ -236,7 +192,7 @@ func (a *Assembler) release(out []*model.Snapshot) []*model.Snapshot {
 
 // take removes and finalizes the snapshot at tick t (creating an empty one
 // when no records arrived) and prunes per-object state below the frontier.
-func (a *Assembler) take(t model.Tick) *model.Snapshot {
+func (a *assembler) take(t model.Tick) *model.Snapshot {
 	snap := a.pending[t]
 	delete(a.pending, t)
 	if snap == nil {
@@ -264,7 +220,7 @@ func (a *Assembler) take(t model.Tick) *model.Snapshot {
 // for coverage below wm is pointless: whatever arrived is whatever there
 // is. Records pushed later with tick <= wm are dropped, like any record
 // below the release frontier.
-func (a *Assembler) ReleaseThrough(wm model.Tick, out []*model.Snapshot) []*model.Snapshot {
+func (a *assembler) ReleaseThrough(wm model.Tick, out []*model.Snapshot) []*model.Snapshot {
 	if !a.started {
 		// Nothing ever arrived: just advance the frontier past wm.
 		a.started = true
@@ -291,7 +247,7 @@ func (a *Assembler) ReleaseThrough(wm model.Tick, out []*model.Snapshot) []*mode
 
 // FlushAll releases every pending snapshot regardless of outstanding waits
 // (end of stream).
-func (a *Assembler) FlushAll(out []*model.Snapshot) []*model.Snapshot {
+func (a *assembler) FlushAll(out []*model.Snapshot) []*model.Snapshot {
 	var ticks []model.Tick
 	for t := range a.pending {
 		ticks = append(ticks, t)
@@ -314,7 +270,7 @@ func (a *Assembler) FlushAll(out []*model.Snapshot) []*model.Snapshot {
 }
 
 // Pending returns the number of buffered snapshots (observability).
-func (a *Assembler) Pending() int { return len(a.pending) }
+func (a *assembler) Pending() int { return len(a.pending) }
 
 // sortSnapshot orders a snapshot's objects by id so downstream processing
 // and tests are deterministic regardless of arrival order.

@@ -37,33 +37,42 @@ func TestDiscretizerPaperExample(t *testing.T) {
 	}
 }
 
+// Records of one object within one interval discretize to the same tick;
+// the source partition keeps the first, and the object's last-time chain
+// proves the ticks it skipped.
 func TestDiscretizeDeduplicatesWithinInterval(t *testing.T) {
 	d := NewDiscretizer(t0, 5*time.Second)
-	r1, ok1 := d.Discretize(rec(1, 1, 0, 0), t0)
-	if !ok1 {
-		t.Fatal("first record dropped")
+	p := NewPartition(0, 0)
+	var out []*model.Snapshot
+	push := func(r model.Record) {
+		out = append(out, p.Push(r.Object, r.Loc, d.Tick(r.Time), t0)...)
 	}
-	if r1.Tick != 0 || r1.LastTick != model.NoLastTime {
-		t.Errorf("first record: %+v", r1)
+	push(rec(1, 1, 0, 0))  // tick 0
+	push(rec(1, 4, 1, 1))  // tick 0 again: dropped
+	push(rec(1, 8, 2, 2))  // tick 1
+	push(rec(1, 17, 3, 3)) // tick 3: the chain says tick 2 was skipped
+	push(rec(2, 17, 4, 4)) // a fresh object has its own chain
+	out = append(out, p.Flush()...)
+
+	want := []struct {
+		tick model.Tick
+		objs []model.ObjectID
+		locs []geo.Point
+	}{
+		{0, []model.ObjectID{1}, []geo.Point{{X: 0, Y: 0}}},
+		{1, []model.ObjectID{1}, []geo.Point{{X: 2, Y: 2}}},
+		{2, nil, nil},
+		{3, []model.ObjectID{1, 2}, []geo.Point{{X: 3, Y: 3}, {X: 4, Y: 4}}},
 	}
-	// Same interval: dropped.
-	if _, ok := d.Discretize(rec(1, 4, 1, 1), t0); ok {
-		t.Error("duplicate within interval should be dropped")
+	if len(out) != len(want) {
+		t.Fatalf("released %d snapshots, want %d", len(out), len(want))
 	}
-	// Next interval: kept, last tick chains.
-	r2, ok2 := d.Discretize(rec(1, 8, 2, 2), t0)
-	if !ok2 || r2.Tick != 1 || r2.LastTick != 0 {
-		t.Errorf("second record: %+v ok=%v", r2, ok2)
-	}
-	// Skip interval 2, report at 3: LastTick must be 1.
-	r3, _ := d.Discretize(rec(1, 17, 3, 3), t0)
-	if r3.Tick != 3 || r3.LastTick != 1 {
-		t.Errorf("third record: %+v", r3)
-	}
-	// Different object has its own chain.
-	r4, _ := d.Discretize(rec(2, 17, 4, 4), t0)
-	if r4.LastTick != model.NoLastTime {
-		t.Errorf("fresh object: %+v", r4)
+	for i, w := range want {
+		s := out[i]
+		if s.Tick != w.tick || !reflect.DeepEqual(s.Objects, w.objs) || !reflect.DeepEqual(s.Locs, w.locs) {
+			t.Errorf("snapshot %d = tick %d %v %v, want tick %d %v %v",
+				i, s.Tick, s.Objects, s.Locs, w.tick, w.objs, w.locs)
+		}
 	}
 }
 
@@ -101,7 +110,7 @@ func sr(id model.ObjectID, tick, last model.Tick) model.StampedRecord {
 // 2), the system must wait for r2; having received r1, r2, r3 and r5 (r5's
 // last time is 3), it need not wait for r4.
 func TestAssemblerPaperExample(t *testing.T) {
-	a := NewAssembler()
+	a := newAssembler()
 	var out []*model.Snapshot
 
 	out = a.Push(sr(1, 1, model.NoLastTime), out)
@@ -130,7 +139,7 @@ func TestAssemblerPaperExample(t *testing.T) {
 }
 
 func TestAssemblerMultiObjectInterleaving(t *testing.T) {
-	a := NewAssembler()
+	a := newAssembler()
 	a.Slack = 1 // absorb object 2's late first record
 	var out []*model.Snapshot
 	// Object 2's tick-1 record arrives after object 1 has moved well past;
@@ -157,7 +166,7 @@ func TestAssemblerMultiObjectInterleaving(t *testing.T) {
 }
 
 func TestAssemblerDropsLateRecords(t *testing.T) {
-	a := NewAssembler()
+	a := newAssembler()
 	var out []*model.Snapshot
 	out = a.Push(sr(1, 5, model.NoLastTime), out)
 	out = a.Push(sr(1, 6, 5), out)
@@ -215,7 +224,7 @@ func TestAssemblerShuffleProperty(t *testing.T) {
 		}
 		sort.SliceStable(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
 
-		a := NewAssembler()
+		a := newAssembler()
 		a.Slack = slack
 		var out []*model.Snapshot
 		for _, i := range order {
@@ -250,7 +259,7 @@ func TestAssemblerShuffleProperty(t *testing.T) {
 }
 
 func TestAssemblerPendingAndEmptyFlush(t *testing.T) {
-	a := NewAssembler()
+	a := newAssembler()
 	if a.Pending() != 0 {
 		t.Error("fresh assembler has pending snapshots")
 	}
@@ -266,26 +275,22 @@ func TestAssemblerPendingAndEmptyFlush(t *testing.T) {
 
 func TestDiscretizeAssembleEndToEnd(t *testing.T) {
 	d := NewDiscretizer(t0, time.Second)
-	a := NewAssembler()
-	var out []*model.Snapshot
+	p := NewPartition(0, 0)
 	// Two objects reporting every second for 5 seconds, arrival slightly
 	// jumbled between objects.
-	var stamped []model.StampedRecord
+	var recs []model.Record
 	for s := 0; s < 5; s++ {
 		for id := model.ObjectID(1); id <= 2; id++ {
-			r, ok := d.Discretize(rec(id, float64(s)+0.2, float64(id), float64(s)), t0)
-			if !ok {
-				t.Fatalf("record dropped: id=%d s=%d", id, s)
-			}
-			stamped = append(stamped, r)
+			recs = append(recs, rec(id, float64(s)+0.2, float64(id), float64(s)))
 		}
 	}
 	// Swap a few adjacent records across objects.
-	stamped[2], stamped[3] = stamped[3], stamped[2]
-	for _, r := range stamped {
-		out = a.Push(r, out)
+	recs[2], recs[3] = recs[3], recs[2]
+	var out []*model.Snapshot
+	for _, r := range recs {
+		out = append(out, p.Push(r.Object, r.Loc, d.Tick(r.Time), t0)...)
 	}
-	out = a.FlushAll(out)
+	out = append(out, p.Flush()...)
 	if len(out) != 5 {
 		t.Fatalf("snapshots = %d, want 5", len(out))
 	}
@@ -294,38 +299,4 @@ func TestDiscretizeAssembleEndToEnd(t *testing.T) {
 			t.Errorf("snapshot %d: tick=%d len=%d", i, s.Tick, s.Len())
 		}
 	}
-}
-
-// ResumeAt positions the assembler at a checkpoint cut: replayed records
-// at or below the cut are dropped, and release proceeds from the cut
-// exactly as if the earlier snapshots had been assembled by this process.
-func TestAssemblerResumeAt(t *testing.T) {
-	a := NewAssembler()
-	a.ResumeAt(5)
-	var out []*model.Snapshot
-	// A publisher replaying its stream from the start: ticks 1..4 are part
-	// of the restored checkpoint and must be dropped.
-	for tick := model.Tick(1); tick <= 4; tick++ {
-		out = a.Push(model.StampedRecord{Object: 1, Tick: tick, LastTick: tick - 1}, out)
-		if len(out) != 0 {
-			t.Fatalf("replayed tick %d released %d snapshots", tick, len(out))
-		}
-	}
-	// Post-cut records assemble normally (LastTick chains intact).
-	out = a.Push(model.StampedRecord{Object: 1, Tick: 5, LastTick: 4}, out)
-	out = a.Push(model.StampedRecord{Object: 1, Tick: 6, LastTick: 5}, out)
-	out = a.Push(model.StampedRecord{Object: 1, Tick: 7, LastTick: 6}, out)
-	if len(out) < 2 {
-		t.Fatalf("released %d snapshots, want at least ticks 5 and 6", len(out))
-	}
-	if out[0].Tick != 5 || out[1].Tick != 6 {
-		t.Fatalf("released ticks %d, %d; want 5, 6", out[0].Tick, out[1].Tick)
-	}
-	// ResumeAt after a push is a programming error.
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ResumeAt after Push did not panic")
-		}
-	}()
-	a.ResumeAt(10)
 }
